@@ -135,22 +135,39 @@ def build_forest_items(c) -> ParseForest:
 def reduce_forest(f: ParseForest) -> ParseForest:
     """Drop rules that cannot occur in any complete tree: bottom-up, keep
     heads that derive some token string; top-down, keep what the start node
-    reaches through the surviving rules."""
+    reaches through the surviving rules.
+
+    The bottom-up half is the counter-based worklist of linear-time Horn
+    satisfiability (Dowling & Gallier 1984): each rule counts its body
+    nodes not yet known productive, and each node, once productive,
+    decrements the rules that use it.  Both halves take time linear in the
+    total body length, and the kept rules stay in their original order.
+    """
+    rules = f.rules
+    users: dict[Any, list[int]] = {}  # node -> rules using it, per occurrence
+    missing: list[int] = []  # body nodes of each rule not yet productive
     productive: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in f.rules:
-            if r.head not in productive and all(
-                isinstance(b, str) or b in productive for b in r.body
-            ):
-                productive.add(r.head)
-                changed = True
-    usable = [
-        r
-        for r in f.rules
-        if all(isinstance(b, str) or b in productive for b in r.body)
-    ]
+    queue: list = []
+    for i, r in enumerate(rules):
+        count = 0
+        for b in r.body:
+            if not isinstance(b, str):
+                users.setdefault(b, []).append(i)
+                count += 1
+        missing.append(count)
+        if count == 0:
+            queue.append(r.head)
+    while queue:
+        node = queue.pop()
+        if node in productive:
+            continue
+        productive.add(node)
+        for i in users.get(node, ()):
+            missing[i] -= 1
+            if missing[i] == 0:
+                queue.append(rules[i].head)
+    usable = [r for r, count in zip(rules, missing) if count == 0]
+    del users, missing, productive
     by_head: dict[Any, list[ForestRule]] = {}
     for r in usable:
         by_head.setdefault(r.head, []).append(r)

@@ -19,6 +19,15 @@ PARENS_TEXT = "L -> ( L )\nL -> x\n"
 CYCLIC_TEXT = "S -> S\nS -> a\n"
 
 
+def _checkout_env():
+    """The environment with this checkout's package first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 @pytest.fixture
 def run(capsys):
     def go(*argv):
@@ -342,6 +351,26 @@ def test_algorithm_grammar_mismatch(run, grammars):
     assert "empty rules" in err
 
 
+def test_tree_too_deep_to_extract(tmp_path):
+    # Extraction recurses once per tree level, so a 200-token left list
+    # exceeds the interpreter's recursion limit.  Run in its own process so
+    # that an uncaught error would show as a traceback on stderr.
+    path = tmp_path / "left.cfg"
+    path.write_text("L -> L a\nL -> a\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tabparse.cli", "--grammar", str(path),
+         "--input", " ".join(["a"] * 200), "--trees", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_checkout_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "RECOGNIZED\n"
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "tabparse: --trees: a parse tree is too deep to extract\n"
+
+
 def _scan_scripts_table(text):
     """The ``name = "module:function"`` lines of the [project.scripts] table.
 
@@ -393,16 +422,12 @@ def test_console_entry_point():
         f"from {module} import {func.split('.')[0]}\n"
         f"sys.exit({func}())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-c", launcher, "--help"],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=_checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "--algorithm" in proc.stdout

@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tabparse.cky import cky_parse
 from tabparse.earley import earley_parse
@@ -6,6 +10,7 @@ from tabparse.engine import run_tabular
 from tabparse.forest import (
     ForestError,
     ForestRule,
+    ParseForest,
     SpanNode,
     build_forest_cky,
     build_forest_items,
@@ -215,3 +220,83 @@ def test_forest_rule_dedup():
     r1 = ForestRule("h", ("x",), None)
     r2 = ForestRule("h", ("x",), None)
     assert r1 == r2 and len({r1, r2}) == 1
+
+
+def _reference_reduce(f):
+    """The sweep-until-fixpoint reduction: re-test every rule until no new
+    head becomes productive, then keep what the start node reaches."""
+    productive = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in f.rules:
+            if r.head not in productive and all(
+                isinstance(b, str) or b in productive for b in r.body
+            ):
+                productive.add(r.head)
+                changed = True
+    usable = [
+        r for r in f.rules if all(isinstance(b, str) or b in productive for b in r.body)
+    ]
+    reached = {f.start}
+    stack = [f.start]
+    while stack:
+        head = stack.pop()
+        for r in usable:
+            if r.head == head:
+                for b in r.body:
+                    if not isinstance(b, str) and b not in reached:
+                        reached.add(b)
+                        stack.append(b)
+    return tuple(r for r in usable if r.head in reached)
+
+
+# Few nodes and short bodies, so that random forests often have cycles,
+# repeated body nodes, empty bodies, heads that derive no token string and
+# heads the start node cannot reach.
+_NODES = st.integers(0, 5)
+_BODY_PARTS = st.one_of(_NODES, st.sampled_from(["a", "b"]))
+_FORESTS = st.builds(
+    lambda rules, start: ParseForest(tuple(rules), start, "cky", None),
+    st.lists(
+        st.builds(ForestRule, _NODES, st.lists(_BODY_PARTS, max_size=3).map(tuple)),
+        max_size=12,
+    ),
+    _NODES,
+)
+
+
+@given(_FORESTS)
+@example(
+    ParseForest(
+        (
+            ForestRule(0, (1, 1)),  # repeated body node
+            ForestRule(1, (1, "a")),  # cycle, no base rule: unproductive
+            ForestRule(0, (2, 2, "b")),
+            ForestRule(2, ()),  # empty body
+            ForestRule(3, ("a",)),  # unreachable
+            ForestRule(2, (0,)),  # cycle through productive heads
+        ),
+        0,
+        "cky",
+        None,
+    )
+)
+def test_reduce_matches_sweep_reference(f):
+    reduced = reduce_forest(f)
+    assert reduced == ParseForest(_reference_reduce(f), f.start, f.origin, f.grammar)
+    assert reduce_forest(reduced) == reduced
+
+
+def test_reduce_linear_on_chain():
+    # Listed head first, a chain needs one sweep per rule to settle
+    # productivity; the worklist visits each body node once.
+    n = 10_000
+    rules = [ForestRule(i, (i + 1,)) for i in range(n)]
+    rules.append(ForestRule(n, ("a",)))
+    f = ParseForest(tuple(rules), 0, "cky", None)
+    t0 = time.perf_counter()
+    reduced = reduce_forest(f)
+    elapsed = time.perf_counter() - t0
+    assert reduced.rules == f.rules
+    assert elapsed < 1.0
