@@ -110,6 +110,28 @@ def classify_transition(t: Transition) -> str:
     raise UnsupportedTransition(f"{t}: unsupported shape")
 
 
+def _chains(c: Chart, item: Item, uppers, lowers) -> list[tuple[Item, ...]]:
+    """Linked paths of table arcs through `item`, grown forward by one arc
+    ending at each of `uppers` in turn, then backward by one arc starting at
+    each of `lowers` in turn.  A None entry accepts any symbol."""
+    chains = [(item,)]
+    for want in uppers:
+        chains = [
+            ch + (nxt,)
+            for ch in chains
+            for nxt in c.by_lower_at.get((ch[-1].upper, ch[-1].upper_pos), ())
+            if want is None or nxt.upper == want
+        ]
+    for want in lowers:
+        chains = [
+            (prev,) + ch
+            for ch in chains
+            for prev in c.by_upper_at.get((ch[0].lower, ch[0].lower_pos), ())
+            if want is None or prev.lower == want
+        ]
+    return chains
+
+
 def _literal_chains(c: Chart, item: Item, t: Transition):
     """Antecedent tuples of a multi-pop transition that involve `item`.
 
@@ -118,79 +140,30 @@ def _literal_chains(c: Chart, item: Item, t: Transition):
     arc below q0, whose lower end it inherits.
     """
     pop = t.pop
-    m = len(pop) - 1
-    single = len(t.push) == 1
-    lo = 0 if single else 1
-    fits = []
-    if single and item.upper == pop[0]:
-        fits.append(0)
-    for k in range(1, m + 1):
-        if item.lower == pop[k - 1] and item.upper == pop[k]:
-            fits.append(k)
-    for k in fits:
-        partials = [[item]]
-        for k2 in range(k + 1, m + 1):
-            partials = [
-                ch + [nxt]
-                for ch in partials
-                for nxt in c.by_lower_at.get((ch[-1].upper, ch[-1].upper_pos), ())
-                if nxt.upper == pop[k2]
-            ]
-        for k2 in range(k - 1, lo - 1, -1):
-            partials = [
-                [prev] + ch
-                for ch in partials
-                for prev in c.by_upper_at.get((ch[0].lower, ch[0].lower_pos), ())
-                if k2 == 0 or prev.lower == pop[k2 - 1]
-            ]
-        yield from (tuple(ch) for ch in partials)
+    lo = 0 if len(t.push) == 1 else 1
+    for k in range(lo, len(pop)):
+        if item.upper == pop[k] and (k == 0 or item.lower == pop[k - 1]):
+            lowers = [pop[k2 - 1] if k2 else None for k2 in range(k - 1, lo - 1, -1)]
+            yield from _chains(c, item, pop[k + 1 :], lowers)
 
 
-def reduction_expand(c: Chart, item: Item, red) -> list[tuple[Item, Justification]]:
-    """Inferences a lazy reduction enables once `item` is in the table.
+def reduction_expand(
+    c: Chart, item: Item, red, k: int
+) -> list[tuple[Item, Justification]]:
+    """Inferences of lazy reduction `red` that pop `item` as its k-th cell.
 
-    The popped cells of a reduction form a path of arcs between automaton
-    states; paths are recovered by walking arc linkage.  Derivable paths
-    ending in the reduction's state are automatically goto-consistent (each
-    arc into a state whose dot sits after the k-th right-hand-side symbol is
-    a goto edge over that symbol), which is asserted rather than filtered.
+    Reductions are indexed by the goto arc they pop (`Pda.reduction_index`):
+    `item` is a goto edge over the k-th right-hand-side symbol, into the
+    reduction's state if k is the last cell.  The rest of the path is found
+    by walking arc linkage.  A path into that state needs no goto check: an
+    arc into a state whose dot follows the i-th symbol is a goto edge on it.
     """
     auto = c.pda.automaton
-    rhs = red.rule.rhs
-    m = len(rhs)
+    m = len(red.rule.rhs)
+    uppers = (None,) * (m - k - 1) + (red.state,) if k < m else ()
     out: list[tuple[Item, Justification]] = []
-    if item.lower == BOTTOM:
-        return out
-    fits = [
-        k
-        for k in range(1, m + 1)
-        if auto.goto_state(item.lower, rhs[k - 1]) == item.upper
-        and (k < m or item.upper == red.state)
-    ]
-    chains = []
-    for k in fits:
-        partials = [[item]]
-        for k2 in range(k + 1, m + 1):
-            partials = [
-                ch + [nxt]
-                for ch in partials
-                for nxt in c.by_lower_at.get((ch[-1].upper, ch[-1].upper_pos), ())
-                if nxt.lower != BOTTOM and (k2 < m or nxt.upper == red.state)
-            ]
-        for _ in range(k - 1, 0, -1):
-            partials = [
-                [prev] + ch
-                for ch in partials
-                for prev in c.by_upper_at.get((ch[0].lower, ch[0].lower_pos), ())
-                if prev.lower != BOTTOM
-            ]
-        chains.extend(tuple(ch) for ch in partials)
-    for chain in chains:
-        states = [chain[0].lower] + [arc.upper for arc in chain]
-        assert all(
-            auto.goto_state(states[i], rhs[i]) == states[i + 1] for i in range(m)
-        ), f"inconsistent reduction path for {red.rule}"
-        q0 = states[0]
+    for chain in _chains(c, item, uppers, (None,) * (k - 1)):
+        q0 = chain[0].lower
         start_pos = chain[0].lower_pos
         end_pos = chain[-1].upper_pos
         target = auto.goto_state(q0, red.rule.lhs)
@@ -341,9 +314,11 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
                         Justification("F7", chain, t),
                     )
 
-        for red in p.reductions:
-            for consequent, just in reduction_expand(c, item, red):
-                add(consequent, just)
+        # No lazy reductions: skip hashing (low, up), which is slow for dotted rules.
+        if p.reduction_index:
+            for red, k in p.reduction_index.get((low, up), ()):
+                for consequent, just in reduction_expand(c, item, red, k):
+                    add(consequent, just)
 
     return c
 

@@ -5,12 +5,15 @@ stack cell; shifting reads a token and pushes the successor state, and a
 reduction pops one cell per right-hand-side symbol before pushing the goto
 of the uncovered state.  Reductions pop unboundedly many cells, so they are
 kept as lazy descriptors (state, rule) and instantiated against a concrete
-stack or table on demand; `binarize_reductions` rewrites them into bounded
+stack or table on demand.  The machine also indexes them by the goto arc they
+pop, so a table engine looks up the reductions an arc can take part in rather
+than trying every one.  `binarize_reductions` rewrites them into bounded
 transitions for engines that want none of that laziness.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import NamedTuple, Optional
 
 from .grammar import Grammar, GrammarError, Rule, has_epsilon_rules
@@ -124,6 +127,25 @@ def build_lr_automaton(g: Grammar) -> LrAutomaton:
     return LrAutomaton(g, states, goto_map)
 
 
+def index_reductions(auto: LrAutomaton, reductions) -> dict:
+    """Map each goto arc (lower, upper) to the (reduction, k) whose k-th
+    popped cell it can be: goto(lower, rhs[k-1]) == upper, and for the last
+    cell also upper == reduction state.  Lists run in reduction order, then
+    k order, the order in which the table engine fires them."""
+    arcs = defaultdict(list)  # symbol -> goto arcs over it
+    for (source, sym), target in auto.goto_map.items():
+        arcs[sym].append((auto.states[source], auto.states[target]))
+    index = defaultdict(list)
+    for red in reductions:
+        m = len(red.rule.rhs)
+        for k, sym in enumerate(red.rule.rhs, 1):
+            entry = (red, k)
+            for arc in arcs.get(sym, ()):
+                if k < m or arc[1] == red.state:
+                    index[arc].append(entry)
+    return dict(index)
+
+
 def compile_lr(g: Grammar) -> Pda:
     auto = build_lr_automaton(g)
     terminals = g.terminals
@@ -149,6 +171,7 @@ def compile_lr(g: Grammar) -> Pda:
         transitions=tuple(transitions),
         reductions=tuple(reductions),
         automaton=auto,
+        reduction_index=index_reductions(auto, reductions),
         grammar=g,
         kind="lr",
     )

@@ -87,6 +87,8 @@ class Pda:
     # instead of materializing every goto-consistent state chain.
     reductions: tuple = ()
     automaton: Any = field(default=None, compare=False)
+    # (lower, upper) goto arc -> the (reduction, k) it can be k-th cell of.
+    reduction_index: dict = field(default_factory=dict, compare=False)
     # Grammar this machine was compiled from, when there is one.  Needed to
     # turn charts back into grammar trees.
     grammar: Any = field(default=None, compare=False)

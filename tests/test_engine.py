@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from tabparse.engine import (
@@ -287,6 +289,49 @@ def test_cyclic_machine_terminates():
     assert recognized(c)
     replay_justifications(c)
     assert not recognized(run_tabular(p, []))
+
+
+GRAMMARS = Path(__file__).resolve().parent.parent / "demos" / "grammars"
+NESTED_BRACKETS = "S -> L\nL -> ( L )\nL -> [ L ]\nL -> x\nL -> L L\n"
+
+
+@pytest.mark.parametrize(
+    "text, inputs",
+    [
+        ((GRAMMARS / "expr.cfg").read_text(), ["a + a * a + a", "a * a", "a + + a"]),
+        ((GRAMMARS / "sps.cfg").read_text(), ["a + a + a + a", "a", "a +"]),
+        (NESTED_BRACKETS, ["( [ x ] x ) x", "[ x ] ( x ) ( x x )", "( x"]),
+    ],
+    ids=["expr", "sps", "brackets"],
+)
+def test_reduction_chains_follow_goto(text, inputs):
+    # The engine walks arc linkage without checking goto consistency.
+    g = parse_grammar(text)
+    tags = set()
+    for p in (compile_lr(g), compile_lr(augment_start(g))):
+        auto = p.automaton
+        for text in inputs:
+            c = run_tabular(p, text.split())
+            for tag, ants, red in (j for js in c.justifications.values() for j in js):
+                if tag not in ("reduce", "accept"):
+                    continue
+                tags.add(tag)
+                chain = ants[1:] if tag == "accept" else ants
+                states = [chain[0].lower] + [arc.upper for arc in chain]
+                assert len(chain) == len(red.rule.rhs)
+                for sym, q, t in zip(red.rule.rhs, states, states[1:]):
+                    assert auto.goto_state(q, sym) == t
+                assert states[-1] == red.state
+    assert tags == {"reduce", "accept"}
+
+
+def test_glr_inference_counts(expr_grammar):
+    # Indexing reductions by goto arc must fire exactly the same inferences.
+    c = run_tabular(compile_lr(expr_grammar), " + ".join(["a"] * 33).split())
+    assert (c.fired, len(c.items)) == (17059, 691)
+    right_list = augment_start(parse_grammar("L -> a L\nL -> a"))
+    c = run_tabular(compile_lr(right_list), ["a"] * 100)
+    assert (c.fired, len(c.items)) == (5251, 5251)
 
 
 def make_f7_machine(single: bool) -> Pda:

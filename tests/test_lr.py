@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tabparse.grammar import GrammarError, Rule, parse_grammar
+from tabparse.grammar import Grammar, GrammarError, Rule, parse_grammar
 from tabparse.lr import (
     FINAL,
     AuxSymbol,
@@ -169,3 +171,39 @@ def test_larger_family_builds():
     assert simulate(p, "( x".split()).verdict == "no"
     b = binarize_reductions(p)
     assert simulate(b, "[ x ] ( x )".split()).verdict == "yes"
+
+
+# Small grammars without empty rules: few symbols, so automata share states
+# and arcs between several reductions and right-hand-side positions.
+_RULES = st.lists(
+    st.builds(
+        Rule,
+        st.sampled_from("SAB"),
+        st.lists(st.sampled_from("SABab"), min_size=1, max_size=3).map(tuple),
+    ),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+@given(_RULES)
+def test_reduction_index_matches_brute_force(rules):
+    # The table engine's former per-item test: arc (q, t) can be the k-th
+    # popped cell of a reduction, and the last one only in its own state.
+    p = compile_lr(Grammar(tuple(rules), rules[0].lhs))
+    auto = p.automaton
+    want = {}
+    for q in auto.states:
+        for t in auto.states:
+            fits = [
+                (red, k)
+                for red in p.reductions
+                for k in range(1, len(red.rule.rhs) + 1)
+                if auto.goto_state(q, red.rule.rhs[k - 1]) == t
+                and (k < len(red.rule.rhs) or t == red.state)
+            ]
+            if fits:
+                want[(q, t)] = fits
+    assert p.reduction_index == want
+    assert binarize_reductions(p).reduction_index == {}
