@@ -42,7 +42,7 @@ print(dump_matrix(chart))
 print()
 print("derivations of the final item:", earley_ambiguous_final(chart))
 
-# Work is counted per inference attempt; handy for complexity checks.
+# Work is counted per inference fired; handy for complexity checks.
 print("rule firings:", chart.fired)
 
 # Unambiguous input for contrast: one completion.

@@ -1,17 +1,17 @@
 """Agenda-driven recognition over dotted-rule items.
 
 Items are (origin, dotted rule, end): the rule's consumed prefix derives
-tokens origin..end and the whole rule was predicted at `origin`.  Matching
-is symmetric like the table engine's, completions fire no matter whether
-the active or the completed partner shows up second, so agenda order does
-not affect the result.
+tokens origin..end and the whole rule was predicted at `origin`.  Agenda
+and chart follow `engine.Deduction`, like the table engine's: a completion
+fires when the second of its two partners is popped, whichever it is.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import NamedTuple, Optional
 
+from .engine import Deduction
 from .grammar import Grammar, GrammarError
 from .strategies import DottedRule
 
@@ -31,18 +31,16 @@ class EarleyJustification(NamedTuple):
     token: Optional[str]
 
 
-class EarleyChart:
-    def __init__(self, grammar: Grammar, tokens):
+class EarleyChart(Deduction):
+    justifications: dict[EarleyItem, list[EarleyJustification]]
+
+    def __init__(self, grammar: Grammar, tokens, agenda_order: str = "lifo"):
+        super().__init__(tokens, agenda_order)
         self.grammar = grammar
-        self.tokens = tuple(tokens)
-        self.items: set[EarleyItem] = set()
-        self.justifications: dict[EarleyItem, list[EarleyJustification]] = {}
-        self.fired = 0
-        # Active items keyed by (their goal symbol, their end position);
+        # Active items keyed by (their nonterminal goal, their end position);
         # completed items keyed by (their left-hand side, their origin).
         self.active_at: dict[tuple[str, int], list[EarleyItem]] = defaultdict(list)
         self.completed_at: dict[tuple[str, int], list[EarleyItem]] = defaultdict(list)
-        self._seen: set[tuple[EarleyItem, EarleyJustification]] = set()
 
     def final_item(self) -> EarleyItem:
         (start_rule,) = self.grammar.start_rules()
@@ -52,51 +50,33 @@ class EarleyChart:
 
 
 def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
-    if agenda_order not in ("lifo", "fifo"):
-        raise ValueError(f"unknown agenda order {agenda_order!r}")
+    c = EarleyChart(g, tokens, agenda_order)
     starts = g.start_rules()
     if len(starts) != 1:
         raise GrammarError(
             f"needs a single {g.start} rule; augment the grammar first"
         )
-    tokens = tuple(tokens)
+    tokens = c.tokens
     n = len(tokens)
-    c = EarleyChart(g, tokens)
-    agenda: deque[EarleyItem] = deque()
-
-    def add(item: EarleyItem, just: EarleyJustification) -> None:
-        c.fired += 1
-        key = (item, just)
-        if key in c._seen:
-            return
-        c._seen.add(key)
-        c.justifications.setdefault(item, []).append(just)
-        if item not in c.items:
-            c.items.add(item)
-            goal = item.dotted.goal
-            if goal is None:
-                c.completed_at[(item.dotted.rule.lhs, item.origin)].append(item)
-            else:
-                c.active_at[(goal, item.end)].append(item)
-            agenda.append(item)
-
+    add = c.add
     add(
         EarleyItem(0, DottedRule(starts[0], 0), 0),
         EarleyJustification("init", (), None),
     )
 
     nonterminals = g.nonterminals
-    while agenda:
-        item = agenda.pop() if agenda_order == "lifo" else agenda.popleft()
+    for item in c.popped():
         goal = item.dotted.goal
         if goal is None:
-            lhs = item.dotted.rule.lhs
-            for active in c.active_at.get((lhs, item.origin), ()):
+            key = (item.dotted.rule.lhs, item.origin)
+            c.completed_at[key].append(item)
+            for active in c.active_at.get(key, ()):
                 add(
                     EarleyItem(active.origin, active.dotted.advance(), item.end),
                     EarleyJustification("complete", (active, item), None),
                 )
         elif goal in nonterminals:
+            c.active_at[(goal, item.end)].append(item)
             for rule in g.rules_for(goal):
                 add(
                     EarleyItem(item.end, DottedRule(rule, 0), item.end),

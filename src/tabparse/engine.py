@@ -8,10 +8,10 @@ items of all reachable stacks form a graph over (position, symbol) vertices
 that shares common stack suffixes, so the table stays polynomial while the
 set of stacks it represents may be exponential or infinite.
 
-Matching is symmetric: whenever an item is taken off the agenda it is tried
-in every antecedent slot of every inference rule, with partners looked up in
-the table.  That makes the engine insensitive to agenda order and spares it
-any special-casing for empty input or cyclic machines.
+Agenda and chart follow `Deduction`: an item is matched once, when it is
+popped, so each inference fires once.  That makes the engine insensitive to
+agenda order and spares it any special-casing for empty input or cyclic
+machines.
 
 Each derived item records how it was inferred (rule tag, antecedent items,
 transition).  These justifications are what parse forests are built from.
@@ -52,16 +52,53 @@ class Justification(NamedTuple):
     via: Any  # Transition, reduction descriptor, or None for the axiom
 
 
-class Chart:
-    def __init__(self, pda: Pda, tokens):
-        self.pda = pda
+class Deduction:
+    """Chart and agenda of a deduction system (Shieber, Schabes & Pereira
+    1995, "Principles and implementation of deductive parsing").
+
+    `add` fires one inference: it records the justification and puts a new
+    consequent on the agenda.  The saturation loop indexes each item from
+    `popped` into its chart tables *before* matching it, and matches it only
+    against items already popped.  So an inference fires exactly once, when
+    the last of its antecedents is popped, and `fired` counts distinct
+    justifications.  The result is independent of `agenda_order` ("lifo" or
+    "fifo"); the knob exists to let tests check exactly that.
+    """
+
+    def __init__(self, tokens, agenda_order: str = "lifo"):
+        if agenda_order not in ("lifo", "fifo"):
+            raise ValueError(f"unknown agenda order {agenda_order!r}")
         self.tokens = tuple(tokens)
-        self.items: set[Item] = set()
-        self.justifications: dict[Item, list[Justification]] = {}
+        self.justifications: dict[Any, list] = {}
+        self.items = self.justifications.keys()
+        self.fired = 0
+        self._agenda: deque = deque()
+        self._lifo = agenda_order == "lifo"
+
+    def add(self, item, just) -> None:
+        self.fired += 1
+        justs = self.justifications.get(item)
+        if justs is None:
+            self.justifications[item] = [just]
+            self._agenda.append(item)
+        else:
+            justs.append(just)
+
+    def popped(self):
+        agenda = self._agenda
+        pop = agenda.pop if self._lifo else agenda.popleft
+        while agenda:
+            yield pop()
+
+
+class Chart(Deduction):
+    justifications: dict[Item, list[Justification]]
+
+    def __init__(self, pda: Pda, tokens, agenda_order: str = "lifo"):
+        super().__init__(tokens, agenda_order)
+        self.pda = pda
         self.by_upper_at: dict[tuple[Any, int], list[Item]] = defaultdict(list)
         self.by_lower_at: dict[tuple[Any, int], list[Item]] = defaultdict(list)
-        self.fired = 0
-        self._seen: set[tuple[Item, Justification]] = set()
 
     def accept_item(self) -> Item:
         n = len(self.tokens)
@@ -113,7 +150,9 @@ def classify_transition(t: Transition) -> str:
 def _chains(c: Chart, item: Item, uppers, lowers) -> list[tuple[Item, ...]]:
     """Linked paths of table arcs through `item`, grown forward by one arc
     ending at each of `uppers` in turn, then backward by one arc starting at
-    each of `lowers` in turn.  A None entry accepts any symbol."""
+    each of `lowers` in turn.  A None entry accepts any symbol.  A path that
+    holds `item` again further back is left to the walk from that position,
+    so each path is found once."""
     chains = [(item,)]
     for want in uppers:
         chains = [
@@ -127,7 +166,7 @@ def _chains(c: Chart, item: Item, uppers, lowers) -> list[tuple[Item, ...]]:
             (prev,) + ch
             for ch in chains
             for prev in c.by_upper_at.get((ch[0].lower, ch[0].lower_pos), ())
-            if want is None or prev.lower == want
+            if (want is None or prev.lower == want) and prev is not item
         ]
     return chains
 
@@ -187,108 +226,84 @@ def reduction_expand(
 
 
 def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
-    """Saturate the table of items for `p` on `tokens`.
-
-    The result is independent of `agenda_order` ("lifo" or "fifo"); the
-    knob exists to let tests check exactly that.
-    """
-    if agenda_order not in ("lifo", "fifo"):
-        raise ValueError(f"unknown agenda order {agenda_order!r}")
-    tokens = tuple(tokens)
+    """Saturate the table of items for `p` on `tokens`; see `Deduction` for
+    `agenda_order`."""
+    c = Chart(p, tokens, agenda_order)
+    tokens = c.tokens
     n = len(tokens)
-    c = Chart(p, tokens)
 
-    # Index transitions by the trigger field of their antecedent.
+    # Index transitions by the trigger field of their antecedent.  A swap
+    # that keeps the symbol below the top names it as a filter, else None.
     f1 = defaultdict(list)  # upper -> (token, pushed, t)
-    f2_full = defaultdict(list)  # (lower, upper) -> (token, replacement, t)
-    f2_bare = defaultdict(list)  # upper -> (token, replacement, t)
-    f3 = defaultdict(list)  # popped pair -> (q1, q2, q3, t), both slots below
-    f3_first = defaultdict(list)  # upper == q1
+    f2 = defaultdict(list)  # upper -> (kept lower, token, replacement, t)
+    f3 = defaultdict(list)  # popped pair -> (pushed, t), both slots below
+    f3_first = defaultdict(list)  # q1 -> (q2, pushed, t)
     f4 = defaultdict(list)  # upper -> (pushed, t)
-    f5_full = defaultdict(list)
-    f5_bare = defaultdict(list)
+    f5 = defaultdict(list)  # upper -> (kept lower, replacement, t)
     f6 = []  # (token, pushed, t)
     f7 = []  # literal multi-pop transitions
-    for t in p.transitions:
+    for t in dict.fromkeys(p.transitions):
         shape = classify_transition(t)
+        keep = t.pop[0] if len(t.pop) == 2 else None
         if shape == "F1":
             f1[t.pop[0]].append((t.read[0], t.push[1], t))
         elif shape == "F2":
-            if len(t.pop) == 2:
-                f2_full[(t.pop[0], t.pop[1])].append((t.read[0], t.push[1], t))
-            else:
-                f2_bare[t.pop[0]].append((t.read[0], t.push[0], t))
+            f2[t.pop[-1]].append((keep, t.read[0], t.push[-1], t))
         elif shape == "F3":
-            q1, q2 = t.pop
-            f3[(q1, q2)].append((q1, q2, t.push[0], t))
-            f3_first[q1].append((q1, q2, t.push[0], t))
+            f3[t.pop].append((t.push[0], t))
+            f3_first[t.pop[0]].append((t.pop[1], t.push[0], t))
         elif shape == "F4":
             f4[t.pop[0]].append((t.push[1], t))
         elif shape == "F5":
-            if len(t.pop) == 2:
-                f5_full[(t.pop[0], t.pop[1])].append((t.push[1], t))
-            else:
-                f5_bare[t.pop[0]].append((t.push[0], t))
+            f5[t.pop[-1]].append((keep, t.push[-1], t))
         elif shape == "F6":
             f6.append((t.read[0], t.push[0], t))
         else:
             f7.append(t)
 
-    agenda: deque[Item] = deque()
-
-    def add(item: Item, just: Justification) -> None:
-        c.fired += 1
-        key = (item, just)
-        if key in c._seen:
-            return
-        c._seen.add(key)
-        c.justifications.setdefault(item, []).append(just)
-        if item not in c.items:
-            c.items.add(item)
-            c.by_upper_at[(item.upper, item.upper_pos)].append(item)
-            c.by_lower_at[(item.lower, item.lower_pos)].append(item)
-            agenda.append(item)
-
+    add = c.add
+    by_upper_at, by_lower_at = c.by_upper_at, c.by_lower_at
     add(Item(BOTTOM, 0, p.initial, 0), Justification("axiom", (), None))
 
-    while agenda:
-        item = agenda.pop() if agenda_order == "lifo" else agenda.popleft()
+    for item in c.popped():
         low, j, up, i = item
+        arcs_in = by_upper_at[(up, i)]
+        arcs_in.append(item)
+        by_lower_at[(low, j)].append(item)
         tok = tokens[i] if i < n else None
 
         if tok is not None:
             for a, pushed, t in f1.get(up, ()):
                 if a == tok:
                     add(Item(up, i, pushed, i + 1), Justification("F1", (item,), t))
-            for a, repl, t in f2_full.get((low, up), ()):
-                if a == tok:
+            for keep, a, repl, t in f2.get(up, ()):
+                if a == tok and (keep is None or keep == low):
                     add(Item(low, j, repl, i + 1), Justification("F2", (item,), t))
-            for a, repl, t in f2_bare.get(up, ()):
-                if a == tok:
-                    add(Item(low, j, repl, i + 1), Justification("F2", (item,), t))
-            for a, pushed, t in f6:
-                if a == tok:
-                    # Positional: any arc ending at i witnesses the push.
-                    add(Item(up, i, pushed, i + 1), Justification("F6", (), t))
+            # Positional: the first arc ending at vertex (up, i) witnesses
+            # the push, so it fires once per vertex.
+            if len(arcs_in) == 1:
+                for a, pushed, t in f6:
+                    if a == tok:
+                        add(Item(up, i, pushed, i + 1), Justification("F6", (), t))
 
         for pushed, t in f4.get(up, ()):
             add(Item(up, i, pushed, i), Justification("F4", (item,), t))
-        for repl, t in f5_full.get((low, up), ()):
-            add(Item(low, j, repl, i), Justification("F5", (item,), t))
-        for repl, t in f5_bare.get(up, ()):
-            add(Item(low, j, repl, i), Justification("F5", (item,), t))
+        for keep, repl, t in f5.get(up, ()):
+            if keep is None or keep == low:
+                add(Item(low, j, repl, i), Justification("F5", (item,), t))
 
         # Pops need a partner: `item` can be the popped pair itself or the
-        # arc beneath it.
-        for q1, q2, q3, t in f3.get((low, up), ()):
-            for below in c.by_upper_at.get((q1, j), ()):
+        # arc beneath it.  An item (q, j, q, j) can be both at once; the
+        # first loop matches it with itself, so the second skips that pair.
+        for q3, t in f3.get((low, up), ()):
+            for below in by_upper_at.get((low, j), ()):
                 add(
                     Item(below.lower, below.lower_pos, q3, i),
                     Justification("F3", (below, item), t),
                 )
-        for q1, q2, q3, t in f3_first.get(up, ()):
-            for pair in c.by_lower_at.get((up, i), ()):
-                if pair.upper == q2:
+        for q2, q3, t in f3_first.get(up, ()):
+            for pair in by_lower_at.get((up, i), ()):
+                if pair.upper == q2 and pair is not item:
                     add(
                         Item(low, j, q3, pair.upper_pos),
                         Justification("F3", (item, pair), t),

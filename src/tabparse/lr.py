@@ -40,6 +40,10 @@ class LrAutomaton:
         self.states: tuple[LrState, ...] = tuple(states)
         # (state id, symbol) -> state id
         self.goto_map: dict[tuple[int, str], int] = dict(goto_map)
+        # (state id, symbol) -> states whose goto on symbol is that state
+        self.sources: dict[tuple[int, str], list[LrState]] = defaultdict(list)
+        for (source, sym), target in self.goto_map.items():
+            self.sources[(target, sym)].append(self.states[source])
 
     def goto_state(self, state, symbol) -> Optional[LrState]:
         """Successor state, or None when undefined or `state` is no state."""
@@ -127,22 +131,31 @@ def build_lr_automaton(g: Grammar) -> LrAutomaton:
     return LrAutomaton(g, states, goto_map)
 
 
+def chain_states(auto: LrAutomaton, red: Reduction) -> list[set[LrState]]:
+    """possible[k]: the states that may sit at position k of a chain the
+    reduction pops, found by walking the goto map backwards from its own
+    state at position m = len(rhs); position 0 is the uncovered state."""
+    possible = [{red.state}]
+    for sym in reversed(red.rule.rhs):
+        possible.append(
+            {q for t in possible[-1] for q in auto.sources.get((t.id, sym), ())}
+        )
+    return possible[::-1]
+
+
 def index_reductions(auto: LrAutomaton, reductions) -> dict:
     """Map each goto arc (lower, upper) to the (reduction, k) whose k-th
-    popped cell it can be: goto(lower, rhs[k-1]) == upper, and for the last
-    cell also upper == reduction state.  Lists run in reduction order, then
-    k order, the order in which the table engine fires them."""
-    arcs = defaultdict(list)  # symbol -> goto arcs over it
-    for (source, sym), target in auto.goto_map.items():
-        arcs[sym].append((auto.states[source], auto.states[target]))
+    popped cell it can be: goto(lower, rhs[k-1]) == upper and the goto path
+    from upper over rhs[k:] ends in the reduction's state.  Lists run in
+    reduction order, then k order, the order in which the table engine
+    fires them."""
     index = defaultdict(list)
     for red in reductions:
-        m = len(red.rule.rhs)
+        possible = chain_states(auto, red)
         for k, sym in enumerate(red.rule.rhs, 1):
-            entry = (red, k)
-            for arc in arcs.get(sym, ()):
-                if k < m or arc[1] == red.state:
-                    index[arc].append(entry)
+            for upper in possible[k]:
+                for lower in auto.sources.get((upper.id, sym), ()):
+                    index[(lower, upper)].append((red, k))
     return dict(index)
 
 
@@ -203,18 +216,8 @@ def binarize_reductions(p: Pda) -> Pda:
             symbols.update(t.push)
 
     for red in p.reductions:
-        rhs = red.rule.rhs
-        m = len(rhs)
-        # possible[k]: states allowed at chain position k (position m is the
-        # reduction's own state, position 0 the uncovered one).
-        possible = [set() for _ in range(m + 1)]
-        possible[m] = {red.state}
-        for k in range(m - 1, -1, -1):
-            possible[k] = {
-                q
-                for q in auto.states
-                if auto.goto_state(q, rhs[k]) in possible[k + 1]
-            }
+        m = len(red.rule.rhs)
+        possible = chain_states(auto, red)
 
         def finishers(pop_top):
             for q0 in sorted(possible[0], key=lambda s: s.id):

@@ -1,7 +1,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from tabparse.earley import earley_parse
 from tabparse.engine import (
     BOTTOM,
     Item,
@@ -12,7 +15,14 @@ from tabparse.engine import (
     recognized,
     run_tabular,
 )
-from tabparse.grammar import augment_start, parse_grammar
+from tabparse.grammar import (
+    Grammar,
+    Rule,
+    augment_start,
+    has_epsilon_rules,
+    is_cnf,
+    parse_grammar,
+)
 from tabparse.lr import binarize_reductions, compile_lr
 from tabparse.oracle import recognizes
 from tabparse.pda import Pda, Transition, simulate
@@ -199,7 +209,7 @@ def test_branching_chart_frozen(branching_pda):
     c = run_tabular(branching_pda, "abcd")
     assert dump_chart(c) == BRANCHING_CHART
     assert len(c.items) == 12
-    assert c.fired == 15
+    assert c.fired == 14
     assert recognized(c)
     replay_justifications(c)
 
@@ -326,9 +336,10 @@ def test_reduction_chains_follow_goto(text, inputs):
 
 
 def test_glr_inference_counts(expr_grammar):
-    # Indexing reductions by goto arc must fire exactly the same inferences.
+    # Each inference fires once: `fired` is the number of distinct
+    # justifications, which indexing reductions by goto arc must not change.
     c = run_tabular(compile_lr(expr_grammar), " + ".join(["a"] * 33).split())
-    assert (c.fired, len(c.items)) == (17059, 691)
+    assert (c.fired, len(c.items)) == (6643, 691)
     right_list = augment_start(parse_grammar("L -> a L\nL -> a"))
     c = run_tabular(compile_lr(right_list), ["a"] * 100)
     assert (c.fired, len(c.items)) == (5251, 5251)
@@ -389,3 +400,84 @@ def test_dot_name_collisions():
     )
     dot = chart_to_dot(run_tabular(p, "a"))
     assert "p1_q_1 " in dot and "p1_q_1_2 " in dot
+
+
+def assert_fires_once(saturate):
+    """Each inference fires once under either agenda order: `fired` counts
+    the recorded justifications, no list repeats one, and both orders
+    record the same justification sets."""
+    charts = [saturate(order) for order in ("lifo", "fifo")]
+    for c in charts:
+        assert c.fired == sum(len(js) for js in c.justifications.values())
+        assert all(len(set(js)) == len(js) for js in c.justifications.values())
+    lifo, fifo = ({it: set(js) for it, js in c.justifications.items()} for c in charts)
+    assert lifo == fifo
+    return charts[0]
+
+
+# Shapes where an item could meet itself, or a transition be found twice:
+# (transitions, input, inferences fired).
+T = Transition
+EDGE_MACHINES = {
+    # (s, 0, s, 0) is both the popped pair and the arc beneath it.
+    "f3-self-pair": ([T(("s",), (), ("s", "s")), T(("s", "s"), (), ("f",))], "", 5),
+    # Two arcs end at vertex (x, 1); the push on it has no antecedent.
+    "f6-two-arcs-below": (
+        [
+            T(("s",), ("a",), ("s", "x")),
+            T(("s",), ("a",), ("x",)),
+            T((), ("b",), ("f",)),
+        ],
+        "ab",
+        4,
+    ),
+    # (s, 0, s, 0) fills every cell of one multi-pop chain.
+    "f7-repeated-cell": ([T(("s",), (), ("s", "s")), T(("s", "s", "s"), (), ("f",))], "", 5),
+    "duplicate-transition": ([T(("s",), ("a",), ("f",))] * 2, "a", 2),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_MACHINES)
+def test_edge_machines_fire_once(name):
+    transitions, text, fired = EDGE_MACHINES[name]
+    symbols = {sym for t in transitions for sym in t.pop + t.push}
+    p = Pda(frozenset("ab"), frozenset(symbols), "s", "f", tuple(transitions))
+    c = assert_fires_once(lambda order: run_tabular(p, list(text), agenda_order=order))
+    assert c.fired == fired
+    replay_justifications(c)
+
+
+# Small grammars, empty and cyclic rules included, and small CNF grammars.
+_GENERAL = st.lists(
+    st.builds(
+        Rule,
+        st.sampled_from("SAB"),
+        st.lists(st.sampled_from("SABab"), max_size=3).map(tuple),
+    ),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+_CNF = st.lists(
+    st.one_of(
+        st.builds(Rule, st.sampled_from("SA"), st.sampled_from("ab").map(lambda a: (a,))),
+        st.builds(Rule, st.sampled_from("SA"), st.tuples(*[st.sampled_from("SA")] * 2)),
+    ),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+@given(st.one_of(_GENERAL, _CNF), st.lists(st.sampled_from("ab"), max_size=4))
+def test_inferences_fire_once(rules, tokens):
+    g = Grammar(tuple(rules), rules[0].lhs)
+    aug = augment_start(g)
+    assert_fires_once(lambda order: earley_parse(aug, tokens, agenda_order=order))
+    machines = [compile_topdown(aug)]
+    if is_cnf(g):
+        machines.append(compile_bottomup(g))
+    if not has_epsilon_rules(g):
+        machines += [compile_lr(aug), binarize_reductions(compile_lr(aug))]
+    for p in machines:
+        assert_fires_once(lambda order: run_tabular(p, tokens, agenda_order=order))

@@ -189,10 +189,17 @@ _RULES = st.lists(
 
 @given(_RULES)
 def test_reduction_index_matches_brute_force(rules):
-    # The table engine's former per-item test: arc (q, t) can be the k-th
-    # popped cell of a reduction, and the last one only in its own state.
+    # Arc (q, t) can be the k-th popped cell of a reduction when goto takes
+    # q to t over the k-th symbol and on from t over the rest of the
+    # right-hand side into the reduction's own state.
     p = compile_lr(Grammar(tuple(rules), rules[0].lhs))
     auto = p.automaton
+
+    def walk(state, symbols):
+        for sym in symbols:
+            state = auto.goto_state(state, sym)
+        return state
+
     want = {}
     for q in auto.states:
         for t in auto.states:
@@ -201,7 +208,7 @@ def test_reduction_index_matches_brute_force(rules):
                 for red in p.reductions
                 for k in range(1, len(red.rule.rhs) + 1)
                 if auto.goto_state(q, red.rule.rhs[k - 1]) == t
-                and (k < len(red.rule.rhs) or t == red.state)
+                and walk(t, red.rule.rhs[k:]) == red.state
             ]
             if fits:
                 want[(q, t)] = fits
