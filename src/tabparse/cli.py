@@ -3,8 +3,7 @@
 Reads a grammar file, tokenizes the input, runs the chosen recognizer and
 prints RECOGNIZED or REJECTED followed by any requested artifacts.  Exit
 status: 0 recognized, 1 rejected, 2 for unusable requests (bad grammar,
-artifact the chosen algorithm cannot produce, exhausted search bounds,
-trees too deep to extract),
+artifact the chosen algorithm cannot produce, exhausted search bounds),
 3 when the brute-force check disagrees with the recognizer.
 """
 
@@ -191,11 +190,7 @@ def main(argv=None) -> int:
             counted = count_trees(reduced)
             print(f"trees: {'infinite' if counted.infinite else counted.value}")
         if args.trees is not None:
-            try:
-                trees = extract_trees(reduced, args.trees)
-            except RecursionError:
-                return _usage_error("--trees: a parse tree is too deep to extract")
-            for tree in trees:
+            for tree in extract_trees(reduced, args.trees):
                 print(render_tree(tree))
     if args.oracle:
         expected = recognizes(grammar, tokens)

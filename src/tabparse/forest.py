@@ -6,14 +6,16 @@ span-labelled forests directly; agenda charts yield forests over their
 items, one rule per justification, which the tree editors then reshape
 into trees of the original grammar.  Counting and extraction never
 enumerate shared substructure twice, so they stay cheap even when the
-number of trees is astronomical or infinite.
+number of trees is astronomical or infinite.  Both reuse the by-head index,
+children-first order and cycle flag that `reduce_forest` finds in its
+walk, and both run on explicit stacks, so trees may be of any depth.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
 from .cky import CkyChart
@@ -48,6 +50,8 @@ class ParseForest:
     start: Any
     origin: str  # "cky" | "earley" | "topdown" | "bottomup" | "lr" | ...
     grammar: Optional[Grammar]
+    # (by-head index, nodes reached from start children first, cycle flag)
+    _graph: Any = field(default=None, init=False, repr=False, compare=False)
 
 
 def _emitter():
@@ -140,8 +144,11 @@ def reduce_forest(f: ParseForest) -> ParseForest:
     The bottom-up half is the counter-based worklist of linear-time Horn
     satisfiability (Dowling & Gallier 1984): each rule counts its body
     nodes not yet known productive, and each node, once productive,
-    decrements the rules that use it.  Both halves take time linear in the
-    total body length, and the kept rules stay in their original order.
+    decrements the rules that use it.  The top-down half is a depth-first
+    walk whose by-head index, children-first order and cycle flag the
+    returned forest keeps for `count_trees` and `extract_trees`.  Both
+    halves take time linear in the total body length, and the kept rules
+    stay in their original order.
     """
     rules = f.rules
     users: dict[Any, list[int]] = {}  # node -> rules using it, per occurrence
@@ -168,22 +175,53 @@ def reduce_forest(f: ParseForest) -> ParseForest:
                 queue.append(rules[i].head)
     usable = [r for r, count in zip(rules, missing) if count == 0]
     del users, missing, productive
+    by_head, order, cyclic = _walk(f.start, usable)
+    by_head = {h: by_head[h] for h in order if h in by_head}
+    kept = tuple(r for r in usable if r.head in by_head)
+    reduced = ParseForest(kept, f.start, f.origin, f.grammar)
+    object.__setattr__(reduced, "_graph", (by_head, order, cyclic))
+    return reduced
+
+
+_CLOSE = object()  # marks, on the walk's stack, the node below it as done
+
+
+def _walk(start, rules) -> tuple[dict, list, bool]:
+    """Index the rules by head and walk them depth-first from start, on an
+    explicit stack: the index, the nodes reached, children first, and
+    whether the walk meets a cycle (an edge back to a node still open)."""
     by_head: dict[Any, list[ForestRule]] = {}
-    for r in usable:
+    for r in rules:
         by_head.setdefault(r.head, []).append(r)
-    reached: set = set()
-    stack = [f.start]
+    finished: dict = {}  # False while the node is open
+    order = []
+    cyclic = False
+    stack = [start]
     while stack:
         head = stack.pop()
-        if head in reached:
-            continue
-        reached.add(head)
-        for r in by_head.get(head, ()):
-            for b in r.body:
-                if not isinstance(b, str) and b not in reached:
-                    stack.append(b)
-    kept = tuple(r for r in usable if r.head in reached)
-    return ParseForest(kept, f.start, f.origin, f.grammar)
+        if head is _CLOSE:
+            head = stack.pop()
+            finished[head] = True
+            order.append(head)
+        elif head not in finished:
+            finished[head] = False
+            stack += (head, _CLOSE)
+            for r in by_head.get(head, ()):
+                for b in r.body:
+                    if not isinstance(b, str):
+                        done = finished.get(b)
+                        if done is None:
+                            stack.append(b)
+                        elif not done:
+                            cyclic = True
+    return by_head, order, cyclic
+
+
+def _graph(f: ParseForest) -> tuple[dict, list, bool]:
+    """The walk `reduce_forest` keeps; any other forest is walked once."""
+    if f._graph is None:
+        object.__setattr__(f, "_graph", _walk(f.start, f.rules))
+    return f._graph
 
 
 @dataclass(frozen=True)
@@ -193,171 +231,131 @@ class TreeCount:
 
 
 def count_trees(f: ParseForest) -> TreeCount:
-    """Number of trees, by one product-sum sweep in dependency order.
+    """Number of trees, by one product-sum sweep over the children-first
+    order of the walk in `reduce_forest`, which a reduced forest keeps.
 
     Expects a reduced forest: a cycle then means the tree set is infinite.
-    Counts are exact big integers, never floats.
+    Any other forest is walked once from its start node, and only a cycle
+    that walk meets marks the count infinite.  Counts are exact big
+    integers, never floats.
     """
-    by_head: dict[Any, list[ForestRule]] = {}
-    graph: dict[Any, set] = {}
-    for r in f.rules:
-        by_head.setdefault(r.head, []).append(r)
-        deps = graph.setdefault(r.head, set())
-        deps.update(b for b in r.body if not isinstance(b, str))
-    try:
-        order = list(TopologicalSorter(graph).static_order())
-    except CycleError:
+    by_head, order, cyclic = _graph(f)
+    if cyclic:
         return TreeCount(None, True)
     counts: dict[Any, int] = {}
     for head in order:
         counts[head] = sum(
-            math.prod(
-                1 if isinstance(b, str) else counts.get(b, 0) for b in r.body
-            )
+            math.prod(1 if isinstance(b, str) else counts[b] for b in r.body)
             for r in by_head.get(head, ())
         )
-    return TreeCount(counts.get(f.start, 0), False)
+    return TreeCount(counts[f.start], False)
 
 
-class _FTree(NamedTuple):
-    head: Any
-    frule: ForestRule
-    children: tuple  # _FTree | str
+def _gen_trees(start, limit: int, by_head):
+    """Forest trees rooted at start, at most `limit` rule applications deep,
+    each as its rules in preorder with its exact depth, in rule order with
+    the leftmost choice varying slowest: a backtracking search on explicit
+    stacks, so tree depth costs no recursion."""
+    trail: list = []  # (rule, depth budget left at its head), in preorder
+    retry: list = []  # (goals, next rule index, trail length) per open choice
+    goals = (start, limit, None)  # linked list of nodes left to expand
+    i = 0
+    while True:
+        if goals is None:
+            yield [r for r, _ in trail], limit + 1 - min(left for _, left in trail)
+        else:
+            head, left, rest = goals
+            rules = by_head.get(head, ())
+            if left > 0 and i < len(rules):
+                if i + 1 < len(rules):
+                    retry.append((goals, i + 1, len(trail)))
+                trail.append((rules[i], left))
+                for b in reversed(rules[i].body):
+                    if not isinstance(b, str):
+                        rest = (b, left - 1, rest)
+                goals, i = rest, 0
+                continue
+        if not retry:
+            return
+        goals, i, n = retry.pop()
+        del trail[n:]
 
 
-def _gen_trees(node_, limit: int, by_head):
-    """Forest trees rooted at node_, at most `limit` rule applications deep,
-    with their exact depths; rule order first, depth falls where it may."""
-    if isinstance(node_, str):
-        yield node_, 0
-        return
-    if limit <= 0:
-        return
-    for frule in by_head.get(node_, ()):
-        for children, d in _gen_bodies(frule.body, limit - 1, by_head):
-            yield _FTree(node_, frule, children), d + 1
-
-
-def _gen_bodies(parts, limit, by_head):
-    if not parts:
-        yield (), 0
-        return
-    for first, d0 in _gen_trees(parts[0], limit, by_head):
-        for rest, d1 in _gen_bodies(parts[1:], limit, by_head):
-            yield (first,) + rest, max(d0, d1)
+def _choose_trees(f: ParseForest, k: int) -> list[list[ForestRule]]:
+    """Up to k forest trees, each as its rules in preorder."""
+    by_head, order, cyclic = _graph(f)
+    if not cyclic:
+        found = _gen_trees(f.start, len(order) + 1, by_head)
+        return [t for t, _ in itertools.islice(found, k)]
+    # A reduced cyclic forest pumps forever, so the rounds terminate; the
+    # cap is a backstop against unreduced input.
+    chosen: list = []
+    for depth in range(1, (len(order) + 2) * (k + 2) + 1):
+        found = (t for t, d in _gen_trees(f.start, depth, by_head) if d == depth)
+        chosen += itertools.islice(found, k - len(chosen))
+        if len(chosen) == k:
+            break
+    return chosen
 
 
 def extract_trees(f: ParseForest, k: int) -> list[ParseTree]:
     """Up to k trees, edited back into trees of the original grammar.
 
-    Expects a reduced forest.  Acyclic forests enumerate in rule order;
-    cyclic ones in rounds of increasing depth, so the infinitely many trees
-    come out shallowest first.
+    Expects a reduced forest, and reuses the walk of `reduce_forest`.
+    Acyclic forests enumerate in rule order; cyclic ones in rounds of
+    increasing depth, so the infinitely many trees come out shallowest
+    first.  Search and editing run on explicit stacks, so no tree is too
+    deep to extract.
     """
     if k <= 0:
         raise ValueError("tree budget must be positive")
-    by_head: dict[Any, list[ForestRule]] = {}
-    for r in f.rules:
-        by_head.setdefault(r.head, []).append(r)
-    if f.start not in by_head:
-        return []
-    reached = {f.start}
-    stack = [f.start]
-    while stack:
-        for r in by_head.get(stack.pop(), ()):
-            for b in r.body:
-                if not isinstance(b, str) and b not in reached:
-                    reached.add(b)
-                    stack.append(b)
-    subgraph = {
-        h: {b for r in by_head.get(h, ()) for b in r.body if not isinstance(b, str)}
-        for h in reached
-    }
-    try:
-        TopologicalSorter(subgraph).prepare()
-        cyclic = False
-    except CycleError:
-        cyclic = True
-    ftrees: list[_FTree] = []
-    if not cyclic:
-        for t, _ in _gen_trees(f.start, len(reached) + 1, by_head):
-            ftrees.append(t)
-            if len(ftrees) >= k:
-                break
-    else:
-        # A reduced cyclic forest pumps forever, so the rounds terminate;
-        # the cap is a backstop against unreduced input.
-        depth = 1
-        max_depth = (len(reached) + 2) * (k + 2)
-        while len(ftrees) < k and depth <= max_depth:
-            for t, d in _gen_trees(f.start, depth, by_head):
-                if d == depth:
-                    ftrees.append(t)
-                    if len(ftrees) >= k:
-                        break
-            depth += 1
-    return [_edit(f, t) for t in ftrees]
+    return [_edit(f, t) for t in _choose_trees(f, k)]
 
 
-def _edit(f: ParseForest, ft: _FTree) -> ParseTree:
-    if f.origin == "cky":
-        tree = _edit_span(ft)
-    elif f.origin == "earley":
-        tree = _edit_comb(ft, lambda head: head.dotted)
-    elif f.origin == "topdown":
-        tree = _edit_comb(ft, lambda head: head.upper)
-    elif f.origin == "bottomup":
-        tree = _edit_label(ft, lambda head: head.upper)
-    elif f.origin == "lr":
-        tree = _edit_lr(ft)
-    else:
+def _edit(f: ParseForest, trail: list[ForestRule]) -> ParseTree:
+    """Fold a forest tree, given as its rules in preorder, children first:
+    each rule's step gets the edited trees of its body, tokens as is."""
+    step = _EDITORS.get(f.origin)
+    if step is None:
         raise ForestError(f"no tree editor for {f.origin!r} charts")
+    done: list = []
+    for r in reversed(trail):
+        done.append(step(r, [b if isinstance(b, str) else done.pop() for b in r.body]))
+    (tree,) = done
     g = f.grammar
     if g is not None and g.augmented_from is not None and tree.label == g.start:
         (tree,) = tree.children
     return tree
 
 
-def _edit_span(ft: _FTree) -> ParseTree:
-    if len(ft.children) == 1 and isinstance(ft.children[0], str):
-        if ft.head.symbol == ft.children[0]:
-            return leaf(ft.head.symbol)
-        return node(ft.head.symbol, (leaf(ft.children[0]),))
-    return node(ft.head.symbol, tuple(_edit_span(ch) for ch in ft.children))
+def _span(r: ForestRule, kids: list) -> ParseTree:
+    if len(kids) == 1 and isinstance(kids[0], str):
+        if r.head.symbol == kids[0]:
+            return leaf(kids[0])
+        return node(r.head.symbol, (leaf(kids[0]),))
+    return node(r.head.symbol, kids)
 
 
-def _edit_comb(ft: _FTree, dotted_of) -> ParseTree:
-    """A completed item's tree: the left-branching spine of partial items
-    collects one subtree per consumed right-hand-side symbol."""
-    return node(dotted_of(ft.head).rule.lhs, tuple(_collect(ft, dotted_of)))
+def _comb(lhs: str, kids: list) -> ParseTree:
+    """A dotted item's tree so far: the left-branching spine of partial
+    items collects one subtree per consumed right-hand-side symbol."""
+    if not kids:
+        return node(lhs, ())
+    if len(kids) != 2:
+        raise ForestError(f"unexpected forest body of {len(kids)} parts")
+    spine, last = kids
+    return node(lhs, spine.children + (leaf(last) if isinstance(last, str) else last,))
 
 
-def _collect(ft: _FTree, dotted_of) -> list[ParseTree]:
-    ch = ft.children
-    if len(ch) == 0:
-        return []
-    if len(ch) == 2 and isinstance(ch[1], str):
-        return _collect(ch[0], dotted_of) + [leaf(ch[1])]
-    if len(ch) == 2:
-        return _collect(ch[0], dotted_of) + [_edit_comb(ch[1], dotted_of)]
-    raise ForestError(f"unexpected forest body of {len(ch)} parts")
-
-
-def _edit_label(ft: _FTree, label_of) -> ParseTree:
-    kids = tuple(
-        leaf(ch) if isinstance(ch, str) else _edit_label(ch, label_of)
-        for ch in ft.children
-    )
-    return node(label_of(ft.head), kids)
-
-
-def _edit_lr(ft: _FTree) -> ParseTree:
-    if ft.frule.rule is None:
-        (token,) = ft.children
-        return leaf(token)
-    return node(
-        ft.frule.rule.lhs, tuple(_edit_lr(ch) for ch in ft.children)
-    )
+_EDITORS = {
+    "cky": _span,
+    "earley": lambda r, kids: _comb(r.head.dotted.rule.lhs, kids),
+    "topdown": lambda r, kids: _comb(r.head.upper.rule.lhs, kids),
+    "bottomup": lambda r, kids: node(
+        r.head.upper, [leaf(k) if isinstance(k, str) else k for k in kids]
+    ),
+    "lr": lambda r, kids: leaf(*kids) if r.rule is None else node(r.rule.lhs, kids),
+}
 
 
 def dump_forest(f: ParseForest, eliminated=frozenset()) -> str:

@@ -34,38 +34,61 @@ def node(symbol: str, children) -> ParseTree:
 
 def tree_yield(t: ParseTree) -> tuple[str, ...]:
     """Frontier of the tree, left to right.  Epsilon nodes contribute nothing."""
-    if t.is_leaf:
-        return (t.label,)
     out = []
-    for c in t.children:
-        out.extend(tree_yield(c))
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.is_leaf:
+            out.append(t.label)
+        else:
+            stack.extend(reversed(t.children))
     return tuple(out)
 
 
 def tree_depth(t: ParseTree) -> int:
     """Number of nonterminal nodes on the longest root-to-frontier path."""
-    if t.is_leaf:
-        return 0
-    return 1 + max((tree_depth(c) for c in t.children), default=0)
+    deepest = 0
+    stack = [(t, 1)]
+    while stack:
+        t, level = stack.pop()
+        if not t.is_leaf:
+            deepest = max(deepest, level)
+            stack.extend((c, level + 1) for c in t.children)
+    return deepest
 
 
 def render_tree(t: ParseTree) -> str:
     """Bracketed s-expression: ``(A (B a) (C b))``; a bare leaf renders as its
     token and an epsilon node as ``(A)``."""
-    if t.is_leaf:
-        return t.label
-    inner = " ".join([t.label] + [render_tree(c) for c in t.children])
-    return f"({inner})"
+    parts = []
+    stack = [t]  # trees still to render, and the text that follows them
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif t.is_leaf:
+            parts.append(t.label)
+        else:
+            parts.append("(" + t.label)
+            stack.append(")")
+            for c in reversed(t.children):
+                stack += (c, " ")
+    return "".join(parts)
 
 
 def validate_tree(grammar, t: ParseTree) -> bool:
     """True iff every internal node applies a rule of ``grammar`` and every
     leaf is one of its terminals."""
-    if t.is_leaf:
-        return t.label in grammar.terminals
-    if t.label not in grammar.nonterminals:
-        return False
-    body = tuple(c.label for c in t.children)
-    if (t.label, body) not in grammar.rule_index:
-        return False
-    return all(validate_tree(grammar, c) for c in t.children)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.is_leaf:
+            if t.label not in grammar.terminals:
+                return False
+            continue
+        if t.label not in grammar.nonterminals:
+            return False
+        if (t.label, tuple(c.label for c in t.children)) not in grammar.rule_index:
+            return False
+        stack.extend(t.children)
+    return True

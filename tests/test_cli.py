@@ -351,24 +351,25 @@ def test_algorithm_grammar_mismatch(run, grammars):
     assert "empty rules" in err
 
 
-def test_tree_too_deep_to_extract(tmp_path):
-    # Extraction recurses once per tree level, so a 200-token left list
-    # exceeds the interpreter's recursion limit.  Run in its own process so
-    # that an uncaught error would show as a traceback on stderr.
+def test_deep_tree_extracts(tmp_path):
+    # A 2,000-token left list is a tree 2,000 levels deep, far past the
+    # interpreter's recursion limit.  Run in its own process so that an
+    # uncaught error would show as a traceback on stderr.
+    n = 2000
     path = tmp_path / "left.cfg"
     path.write_text("L -> L a\nL -> a\n", encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "tabparse.cli", "--grammar", str(path),
-         "--input", " ".join(["a"] * 200), "--trees", "1"],
+         "--input", " ".join(["a"] * n), "--trees", "1"],
         capture_output=True,
         text=True,
         timeout=60,
         env=_checkout_env(),
     )
-    assert proc.returncode == 2
-    assert proc.stdout == "RECOGNIZED\n"
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr == "tabparse: --trees: a parse tree is too deep to extract\n"
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    left_comb = "(L " * n + "a)" + " a)" * (n - 1)
+    assert proc.stdout == "RECOGNIZED\n" + left_comb + "\n"
 
 
 def _scan_scripts_table(text):
