@@ -142,7 +142,8 @@ def main(argv=None) -> int:
             forest_builder = lambda: build_forest_cky(chart)
         elif alg == "naive":
             pda = compile_topdown(augment_start(grammar))
-            result = simulate(pda, tokens)
+            # Only the verdict is printed, and the first run settles it.
+            result = simulate(pda, tokens, max_runs=1)
             if result.verdict == "bound-exceeded":
                 return _usage_error("naive simulation exceeded its bounds")
             verdict = result.verdict == "yes"

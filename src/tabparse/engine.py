@@ -329,7 +329,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
                         Justification("F7", chain, t),
                     )
 
-        # No lazy reductions: skip hashing (low, up), which is slow for dotted rules.
+        # No lazy reductions: skip building and looking up the (low, up) key.
         if p.reduction_index:
             for red, k in p.reduction_index.get((low, up), ()):
                 for consequent, just in reduction_expand(c, item, red, k):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 ARROW = "->"
@@ -64,11 +65,13 @@ class Grammar:
         if len(set(self.rules)) != len(self.rules):
             raise GrammarError("duplicate rules in rule list")
 
-    @property
+    # The derived sets and indexes are computed once per grammar; the frozen
+    # dataclass still has a __dict__ for cached_property to fill.
+    @cached_property
     def nonterminals(self) -> frozenset[str]:
-        return frozenset(r.lhs for r in self.rules)
+        return frozenset(self._by_lhs)
 
-    @property
+    @cached_property
     def terminals(self) -> frozenset[str]:
         nts = self.nonterminals
         return frozenset(
@@ -82,12 +85,19 @@ class Grammar:
             | {Symbol(s, "terminal") for s in self.terminals}
         )
 
-    @property
+    @cached_property
     def rule_index(self) -> frozenset[tuple[str, tuple[str, ...]]]:
         return frozenset((r.lhs, r.rhs) for r in self.rules)
 
+    @cached_property
+    def _by_lhs(self) -> dict[str, tuple[Rule, ...]]:
+        by_lhs: dict[str, list[Rule]] = {}
+        for r in self.rules:
+            by_lhs.setdefault(r.lhs, []).append(r)
+        return {lhs: tuple(rules) for lhs, rules in by_lhs.items()}
+
     def rules_for(self, lhs: str) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.lhs == lhs)
+        return self._by_lhs.get(lhs, ())
 
     def start_rules(self) -> tuple[Rule, ...]:
         return self.rules_for(self.start)

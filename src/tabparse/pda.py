@@ -150,7 +150,7 @@ def simulate(
     max_runs: int = 64,
 ) -> SimulationResult:
     """Depth-first search over the successor relation, transitions tried in
-    declaration order.
+    declaration order, on an explicit stack.
 
     Runs never revisit a configuration already on the current branch (a run
     that did would contain a removable loop) and end at the first accepting
@@ -167,8 +167,8 @@ def simulate(
     steps = 0
     truncated = False
     start = Configuration((p.initial,), 0)
-    path = [start]
-    on_path = {start}
+    if start.stack == accept and start.position == n:
+        return SimulationResult("yes", (Run((start,)),))
 
     def successors(c: Configuration):
         for t in p.transitions:
@@ -178,35 +178,35 @@ def simulate(
         for nxt in _reduction_successors(p, c):
             yield nxt
 
-    def dfs() -> None:
-        nonlocal steps, truncated
-        if truncated and len(runs) >= max_runs:
-            return
-        c = path[-1]
-        if c.stack == accept and c.position == n:
-            runs.append(Run(tuple(path)))
+    # The current branch, with the untried successors of each configuration
+    # on it: an explicit stack, so branch length is not bounded by recursion.
+    path = [start]
+    on_path = {start}
+    frames = [successors(start)]
+    while frames:
+        nxt = next(frames[-1], None)
+        if nxt is None:
+            frames.pop()
+            on_path.discard(path.pop())
+            continue
+        if steps >= max_steps:
+            truncated = True
+            break
+        steps += 1
+        if nxt in on_path:
+            continue
+        if len(nxt.stack) > max_stack_depth:
+            truncated = True
+            continue
+        if nxt.stack == accept and nxt.position == n:
+            runs.append(Run((*path, nxt)))
             if len(runs) >= max_runs:
                 truncated = True
-            return
-        for nxt in successors(c):
-            if steps >= max_steps:
-                truncated = True
-                return
-            steps += 1
-            if nxt in on_path:
-                continue
-            if len(nxt.stack) > max_stack_depth:
-                truncated = True
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            dfs()
-            on_path.discard(nxt)
-            path.pop()
-            if truncated and len(runs) >= max_runs:
-                return
-
-    dfs()
+                break
+            continue
+        path.append(nxt)
+        on_path.add(nxt)
+        frames.append(successors(nxt))
     if runs:
         verdict = "yes"
     elif truncated:

@@ -9,40 +9,59 @@ which strategy built them.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 from .grammar import Grammar, GrammarError, Rule, is_cnf
 from .pda import Marker, Pda, Transition
 
 
-class DottedRule(NamedTuple):
-    """A rule with a progress marker: A -> alpha . beta."""
+class DottedRule:
+    """A rule with a progress marker: A -> alpha . beta.
 
-    rule: Rule
-    dot: int
+    Hash-consed: ``DottedRule(rule, dot)`` returns the one instance for that
+    pair, so dotted rules compare and hash by identity, and chart items built
+    from them hash without descending into the rule's strings.
+    """
+
+    __slots__ = ("rule", "dot", "goal", "is_complete", "_text", "_next")
+    _table: dict[tuple[Rule, int], "DottedRule"] = {}
+
+    def __new__(cls, rule: Rule, dot: int) -> "DottedRule":
+        self = cls._table.get((rule, dot))
+        if self is not None:
+            return self
+        self = object.__new__(cls)
+        rhs = rule.rhs
+        fields = {
+            "rule": rule,
+            "dot": dot,
+            # The symbol right of the dot, None when complete.
+            "goal": rhs[dot] if dot < len(rhs) else None,
+            "is_complete": dot == len(rhs),
+            "_text": " ".join([rule.lhs, "->", *rhs[:dot], ".", *rhs[dot:]]),
+            "_next": None,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        # setdefault keeps the table's instance if another thread won the race.
+        return cls._table.setdefault((rule, dot), self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return DottedRule, (self.rule, self.dot)
 
     def __str__(self) -> str:
-        parts = [self.rule.lhs, "->"]
-        parts += self.rule.rhs[: self.dot]
-        parts.append(".")
-        parts += self.rule.rhs[self.dot :]
-        return " ".join(parts)
+        return self._text
 
-    @property
-    def goal(self) -> Optional[str]:
-        """The symbol right of the dot, None when complete."""
-        if self.dot < len(self.rule.rhs):
-            return self.rule.rhs[self.dot]
-        return None
-
-    @property
-    def is_complete(self) -> bool:
-        return self.dot == len(self.rule.rhs)
+    def __repr__(self) -> str:
+        return f"DottedRule(rule={self.rule!r}, dot={self.dot!r})"
 
     def advance(self) -> "DottedRule":
-        if self.is_complete:
-            raise ValueError(f"cannot advance past the end of {self}")
-        return DottedRule(self.rule, self.dot + 1)
+        if self._next is None:
+            if self.is_complete:
+                raise ValueError(f"cannot advance past the end of {self}")
+            object.__setattr__(self, "_next", DottedRule(self.rule, self.dot + 1))
+        return self._next
 
 
 def dotted_rules(g: Grammar):

@@ -372,6 +372,23 @@ def test_deep_tree_extracts(tmp_path):
     assert proc.stdout == "RECOGNIZED\n" + left_comb + "\n"
 
 
+def test_naive_long_right_list(tmp_path):
+    # The simulator's branch grows three configurations per token; in its
+    # own process, an uncaught RecursionError would show as a traceback.
+    n = 1000
+    path = tmp_path / "right.cfg"
+    path.write_text("L -> a L\nL -> a\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tabparse.cli", "--grammar", str(path),
+         "--algorithm", "naive", "--input", " ".join(["a"] * n)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=_checkout_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "RECOGNIZED\n", "")
+
+
 def _scan_scripts_table(text):
     """The ``name = "module:function"`` lines of the [project.scripts] table.
 

@@ -3,6 +3,7 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
+import tabparse.grammar as grammar_module
 from tabparse.grammar import (
     DuplicateRuleWarning,
     Grammar,
@@ -16,6 +17,7 @@ from tabparse.grammar import (
     is_cnf,
     parse_grammar,
 )
+from tabparse.trees import leaf, node, validate_tree
 
 
 def test_parse_basic(expr_grammar):
@@ -160,3 +162,37 @@ def test_format_parse_roundtrip(g):
 @given(grammars())
 def test_size_counts_every_symbol_once(g):
     assert grammar_size(g) == len(g.rules) + sum(len(r.rhs) for r in g.rules)
+
+
+@given(grammars())
+def test_rules_for_matches_linear_scan(g):
+    for sym in sorted(g.nonterminals | g.terminals) + ["Z", "S'"]:
+        assert g.rules_for(sym) == tuple(r for r in g.rules if r.lhs == sym)
+    assert g.rules_for("Z") == ()
+    assert g.nonterminals == {r.lhs for r in g.rules}
+
+
+def test_derived_sets_are_computed_once(expr_grammar):
+    g = expr_grammar
+    assert g.nonterminals is g.nonterminals
+    assert g.terminals is g.terminals
+    assert g.rule_index is g.rule_index
+    assert g.rules_for("E") is g.rules_for("E")
+
+
+def test_validate_long_comb_builds_each_set_once(monkeypatch):
+    # validate_tree asks the grammar for its sets once per node; a 5,000-leaf
+    # comb must not rebuild them each time.
+    g = parse_grammar("L -> L a\nL -> a")
+    t = node("L", (leaf("a"),))
+    for _ in range(4_999):
+        t = node("L", (t, leaf("a")))
+    built = []
+
+    def counting_frozenset(*args):
+        built.append(args)
+        return frozenset(*args)
+
+    monkeypatch.setattr(grammar_module, "frozenset", counting_frozenset, raising=False)
+    assert validate_tree(g, t)
+    assert len(built) <= 3

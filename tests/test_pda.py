@@ -12,6 +12,8 @@ from tabparse.pda import (
     pda_size,
     simulate,
 )
+from tabparse.grammar import augment_start, parse_grammar
+from tabparse.strategies import compile_topdown
 from conftest import BRANCHING_TRANSITIONS
 
 RUN_LEFT = """\
@@ -175,3 +177,21 @@ def test_empty_input_acceptance():
     res = simulate(p, [])
     assert res.verdict == "yes"
     assert res.runs == (Run((Configuration(("q",), 0),)),)
+
+
+def test_long_branch_runs_without_recursion():
+    # Each token of a right list adds three configurations to the branch, so
+    # 1,000 tokens make a 3,001-configuration run, past the interpreter's
+    # recursion limit.
+    n = 1000
+    p = compile_topdown(augment_start(parse_grammar("L -> a L\nL -> a")))
+    res = simulate(p, ["a"] * n, max_runs=1)
+    assert res.verdict == "yes"
+    (run,) = res.runs
+    assert len(run.steps) == 3 * n + 1
+    assert run.steps[0] == Configuration((p.initial,), 0)
+    assert run.steps[-1] == Configuration((p.final,), n)
+    assert max(len(c.stack) for c in run.steps) == n + 1
+    res = simulate(p, ["a"] * n, max_steps=5_000)
+    assert res.verdict == "yes" and len(res.runs) == 1
+    assert simulate(p, ["a"] * n + ["b"], max_steps=5_000).verdict == "bound-exceeded"

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from typing import NamedTuple
+
 import pytest
 
 from tabparse.grammar import GrammarError, Rule, augment_start, parse_grammar
@@ -26,6 +30,41 @@ def test_dotted_rule_goal_and_advance():
     assert done.is_complete and done.goal is None
     with pytest.raises(ValueError):
         done.advance()
+
+
+def test_dotted_rule_is_hash_consed():
+    d = DottedRule(Rule("E", ("E", "+", "E")), 1)
+    assert DottedRule(Rule("E", ("E", "+", "E")), 1) is d
+    assert d.advance() is DottedRule(Rule("E", ("E", "+", "E")), 2)
+    assert d.advance() is d.advance()
+    assert DottedRule(Rule("E", ("E", "+", "E")), 2) is not d
+    assert copy.copy(d) is d
+    assert copy.deepcopy(d) is d
+    assert pickle.loads(pickle.dumps(d)) is d
+    with pytest.raises(AttributeError):
+        d.dot = 2
+
+
+class _NamedTupleDottedRule(NamedTuple):
+    """The tuple-based DottedRule that the hash-consed class replaced."""
+
+    rule: Rule
+    dot: int
+
+    def __str__(self) -> str:
+        parts = [self.rule.lhs, "->"]
+        parts += self.rule.rhs[: self.dot]
+        parts.append(".")
+        parts += self.rule.rhs[self.dot :]
+        return " ".join(parts)
+
+
+def test_dotted_rule_text_matches_named_tuple(expr_grammar, cnf_grammar, sps_grammar):
+    for g in (expr_grammar, cnf_grammar, sps_grammar):
+        for d in dotted_rules(augment_start(g)):
+            old = _NamedTupleDottedRule(d.rule, d.dot)
+            assert str(d) == str(old)
+            assert repr(d) == repr(old).replace("_NamedTupleDottedRule", "DottedRule")
 
 
 def test_dotted_rules_count(expr_grammar):
