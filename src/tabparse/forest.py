@@ -4,7 +4,12 @@ A forest is itself a context-free grammar whose nonterminals are chart
 entries and whose terminals are the input tokens.  Matrix charts yield
 span-labelled forests directly; agenda charts yield forests over their
 items, one rule per justification, which the tree editors then reshape
-into trees of the original grammar.  Counting and extraction never
+into trees of the original grammar.  Read this way a chart is a shared
+forest grammar (Billot & Lang 1989) in which every nonterminal derives a
+token string: an entry's first justification uses only entries derived
+before it, and its forest body is a subset of those antecedents.  So the
+builders hand over their rules grouped by head, and `reduce_forest` only
+walks what the start node reaches.  Counting and extraction never
 enumerate shared substructure twice, so they stay cheap even when the
 number of trees is astronomical or infinite.  Both reuse the by-head index,
 children-first order and cycle flag that `reduce_forest` finds in its
@@ -52,27 +57,32 @@ class ParseForest:
     grammar: Optional[Grammar]
     # (by-head index, nodes reached from start children first, cycle flag)
     _graph: Any = field(default=None, init=False, repr=False, compare=False)
+    # Set by the chart builders only: the rules by head, in rule order.  It
+    # means the rules are grouped by head and every head is productive.
+    _by_head: Any = field(default=None, init=False, repr=False, compare=False)
 
 
-def _emitter():
-    rules: list[ForestRule] = []
-    seen: set[ForestRule] = set()
+def _chart_forest(entries, start, origin: str, grammar) -> ParseForest:
+    """The forest of a chart, from its entries in chart order, each with the
+    (body, grammar rule) of every justification.  Two justifications may
+    give one body (an Earley item predicted by two parents), so entries
+    with several drop repeats."""
+    by_head: dict[Any, list[ForestRule]] = {}
+    for head, steps in entries:
+        if len(steps) > 1:
+            steps = dict.fromkeys(steps)
+        by_head[head] = [ForestRule(head, body, rule) for body, rule in steps]
+    rules = tuple(itertools.chain.from_iterable(by_head.values()))
+    f = ParseForest(rules, start, origin, grammar)
+    object.__setattr__(f, "_by_head", by_head)
+    return f
 
-    def emit(head, body, rule=None):
-        fr = ForestRule(head, tuple(body), rule)
-        if fr not in seen:
-            seen.add(fr)
-            rules.append(fr)
 
-    return rules, emit
-
-
-def build_forest_cky(c: CkyChart) -> ParseForest:
-    n = len(c.tokens)
-    rules, emit = _emitter()
+def _cky_entries(c: CkyChart):
     for pos, token in enumerate(c.tokens):
-        emit(SpanNode(pos, token, pos + 1), (token,))
+        yield SpanNode(pos, token, pos + 1), [((token,), None)]
     for start, symbol, end in sorted(c.justifications, key=lambda k: (k[0], k[2], k[1])):
+        steps = []
         for just in c.justifications[(start, symbol, end)]:
             if just.split is None:
                 body = (SpanNode(start, c.tokens[start], end),)
@@ -81,16 +91,21 @@ def build_forest_cky(c: CkyChart) -> ParseForest:
                     SpanNode(start, just.rule.rhs[0], just.split),
                     SpanNode(just.split, just.rule.rhs[1], end),
                 )
-            emit(SpanNode(start, symbol, end), body, just.rule)
-    return ParseForest(tuple(rules), SpanNode(0, c.grammar.start, n), "cky", c.grammar)
+            steps.append((body, just.rule))
+        yield SpanNode(start, symbol, end), steps
 
 
-def _earley_body(just) -> tuple:
+def build_forest_cky(c: CkyChart) -> ParseForest:
+    start = SpanNode(0, c.grammar.start, len(c.tokens))
+    return _chart_forest(_cky_entries(c), start, "cky", c.grammar)
+
+
+def _earley_body(just) -> tuple[tuple, None]:
     if just.tag in ("init", "predict"):
-        return ()
+        return (), None
     if just.tag == "scan":
-        return (just.antecedents[0], just.token)
-    return just.antecedents
+        return (just.antecedents[0], just.token), None
+    return just.antecedents, None
 
 
 def _engine_body(just) -> tuple[tuple, Optional[Rule]]:
@@ -116,23 +131,17 @@ def _engine_body(just) -> tuple[tuple, Optional[Rule]]:
 
 def build_forest_items(c) -> ParseForest:
     """Forest over the chart's own items, one rule per justification."""
-    rules, emit = _emitter()
     if isinstance(c, EarleyChart):
         order = sorted(c.items, key=lambda it: (it.end, it.origin, str(it.dotted)))
-        for item in order:
-            for just in c.justifications.get(item, ()):
-                emit(item, _earley_body(just))
-        return ParseForest(tuple(rules), c.final_item(), "earley", c.grammar)
+        entries = ((it, [_earley_body(j) for j in c.justifications[it]]) for it in order)
+        return _chart_forest(entries, c.final_item(), "earley", c.grammar)
     if isinstance(c, Chart):
         order = sorted(
             c.items,
             key=lambda it: (it.upper_pos, it.lower_pos, str(it.upper), str(it.lower)),
         )
-        for item in order:
-            for just in c.justifications.get(item, ()):
-                body, rule = _engine_body(just)
-                emit(item, body, rule)
-        return ParseForest(tuple(rules), c.accept_item(), c.pda.kind, c.pda.grammar)
+        entries = ((it, [_engine_body(j) for j in c.justifications[it]]) for it in order)
+        return _chart_forest(entries, c.accept_item(), c.pda.kind, c.pda.grammar)
     raise ForestError(f"cannot build a forest from {type(c).__name__}")
 
 
@@ -141,16 +150,36 @@ def reduce_forest(f: ParseForest) -> ParseForest:
     heads that derive some token string; top-down, keep what the start node
     reaches through the surviving rules.
 
-    The bottom-up half is the counter-based worklist of linear-time Horn
-    satisfiability (Dowling & Gallier 1984): each rule counts its body
-    nodes not yet known productive, and each node, once productive,
-    decrements the rules that use it.  The top-down half is a depth-first
-    walk whose by-head index, children-first order and cycle flag the
-    returned forest keeps for `count_trees` and `extract_trees`.  Both
-    halves take time linear in the total body length, and the kept rules
-    stay in their original order.
+    A chart forest needs only the top-down half: every chart entry derives
+    a token string, since its first justification uses only entries derived
+    before it, so the builders' by-head index is walked as it is.  Any other
+    forest, built by hand or rebuilt with `dataclasses.replace`, first takes
+    the counter-based worklist of linear-time Horn satisfiability (Dowling &
+    Gallier 1984): each rule counts its body nodes not yet known productive,
+    and each node, once productive, decrements the rules that use it.
+
+    The top-down half is a depth-first walk whose by-head index,
+    children-first order and cycle flag the returned forest keeps for
+    `count_trees` and `extract_trees`.  Both halves take time linear in the
+    total body length, and the kept rules stay in their original order.
     """
-    rules = f.rules
+    index = f._by_head
+    if index is None:
+        usable = _productive(f.rules)
+        index = _index(usable)
+    order, cyclic = _walk(f.start, index)
+    by_head = {h: index[h] for h in order if h in index}
+    if f._by_head is None:
+        kept = tuple(r for r in usable if r.head in by_head)
+    else:
+        kept = tuple(r for h, rs in index.items() if h in by_head for r in rs)
+    reduced = ParseForest(kept, f.start, f.origin, f.grammar)
+    object.__setattr__(reduced, "_graph", (by_head, order, cyclic))
+    return reduced
+
+
+def _productive(rules) -> list[ForestRule]:
+    """The rules whose body nodes all derive some token string."""
     users: dict[Any, list[int]] = {}  # node -> rules using it, per occurrence
     missing: list[int] = []  # body nodes of each rule not yet productive
     productive: set = set()
@@ -173,26 +202,23 @@ def reduce_forest(f: ParseForest) -> ParseForest:
             missing[i] -= 1
             if missing[i] == 0:
                 queue.append(rules[i].head)
-    usable = [r for r, count in zip(rules, missing) if count == 0]
-    del users, missing, productive
-    by_head, order, cyclic = _walk(f.start, usable)
-    by_head = {h: by_head[h] for h in order if h in by_head}
-    kept = tuple(r for r in usable if r.head in by_head)
-    reduced = ParseForest(kept, f.start, f.origin, f.grammar)
-    object.__setattr__(reduced, "_graph", (by_head, order, cyclic))
-    return reduced
+    return [r for r, count in zip(rules, missing) if count == 0]
+
+
+def _index(rules) -> dict[Any, list[ForestRule]]:
+    by_head: dict[Any, list[ForestRule]] = {}
+    for r in rules:
+        by_head.setdefault(r.head, []).append(r)
+    return by_head
 
 
 _CLOSE = object()  # marks, on the walk's stack, the node below it as done
 
 
-def _walk(start, rules) -> tuple[dict, list, bool]:
-    """Index the rules by head and walk them depth-first from start, on an
-    explicit stack: the index, the nodes reached, children first, and
-    whether the walk meets a cycle (an edge back to a node still open)."""
-    by_head: dict[Any, list[ForestRule]] = {}
-    for r in rules:
-        by_head.setdefault(r.head, []).append(r)
+def _walk(start, by_head: dict) -> tuple[list, bool]:
+    """Walk the by-head index depth-first from start, on an explicit stack:
+    the nodes reached, children first, and whether the walk meets a cycle
+    (an edge back to a node still open)."""
     finished: dict = {}  # False while the node is open
     order = []
     cyclic = False
@@ -214,13 +240,14 @@ def _walk(start, rules) -> tuple[dict, list, bool]:
                             stack.append(b)
                         elif not done:
                             cyclic = True
-    return by_head, order, cyclic
+    return order, cyclic
 
 
 def _graph(f: ParseForest) -> tuple[dict, list, bool]:
     """The walk `reduce_forest` keeps; any other forest is walked once."""
     if f._graph is None:
-        object.__setattr__(f, "_graph", _walk(f.start, f.rules))
+        by_head = _index(f.rules) if f._by_head is None else f._by_head
+        object.__setattr__(f, "_graph", (by_head, *_walk(f.start, by_head)))
     return f._graph
 
 

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from tabparse.grammar import parse_grammar
+from tabparse.grammar import Rule, parse_grammar
 from tabparse.pda import Pda, Transition
 
 BRANCHING_TRANSITIONS = (
@@ -70,3 +71,26 @@ def cnf_grammar():
 @pytest.fixture
 def sps_grammar():
     return parse_grammar(SPS_TEXT)
+
+
+# Small grammars, empty and cyclic rules included, and small CNF grammars.
+_GENERAL_RULES = st.lists(
+    st.builds(
+        Rule,
+        st.sampled_from("SAB"),
+        st.lists(st.sampled_from("SABab"), max_size=3).map(tuple),
+    ),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+_CNF_RULES = st.lists(
+    st.one_of(
+        st.builds(Rule, st.sampled_from("SA"), st.sampled_from("ab").map(lambda a: (a,))),
+        st.builds(Rule, st.sampled_from("SA"), st.tuples(*[st.sampled_from("SA")] * 2)),
+    ),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+RANDOM_GRAMMARS = st.one_of(_GENERAL_RULES, _CNF_RULES)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import RANDOM_GRAMMARS
 from tabparse.earley import earley_parse
 from tabparse.engine import (
     BOTTOM,
@@ -17,7 +18,6 @@ from tabparse.engine import (
 )
 from tabparse.grammar import (
     Grammar,
-    Rule,
     augment_start,
     has_epsilon_rules,
     is_cnf,
@@ -447,29 +447,7 @@ def test_edge_machines_fire_once(name):
     replay_justifications(c)
 
 
-# Small grammars, empty and cyclic rules included, and small CNF grammars.
-_GENERAL = st.lists(
-    st.builds(
-        Rule,
-        st.sampled_from("SAB"),
-        st.lists(st.sampled_from("SABab"), max_size=3).map(tuple),
-    ),
-    min_size=1,
-    max_size=6,
-    unique=True,
-)
-_CNF = st.lists(
-    st.one_of(
-        st.builds(Rule, st.sampled_from("SA"), st.sampled_from("ab").map(lambda a: (a,))),
-        st.builds(Rule, st.sampled_from("SA"), st.tuples(*[st.sampled_from("SA")] * 2)),
-    ),
-    min_size=1,
-    max_size=6,
-    unique=True,
-)
-
-
-@given(st.one_of(_GENERAL, _CNF), st.lists(st.sampled_from("ab"), max_size=4))
+@given(RANDOM_GRAMMARS, st.lists(st.sampled_from("ab"), max_size=4))
 def test_inferences_fire_once(rules, tokens):
     g = Grammar(tuple(rules), rules[0].lhs)
     aug = augment_start(g)

@@ -1,14 +1,17 @@
+import dataclasses
 import itertools
 import math
 import time
 from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import RANDOM_GRAMMARS
 from tabparse.cky import cky_parse
-from tabparse.earley import earley_parse
+from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import run_tabular
 from tabparse.forest import (
     ForestError,
@@ -23,10 +26,17 @@ from tabparse.forest import (
     reduce_forest,
     _choose_trees,
 )
-from tabparse.grammar import augment_start, parse_grammar
+from tabparse.grammar import (
+    Grammar,
+    Rule,
+    augment_start,
+    has_epsilon_rules,
+    is_cnf,
+    parse_grammar,
+)
 from tabparse.lr import binarize_reductions, compile_lr
 from tabparse.oracle import enumerate_trees
-from tabparse.strategies import compile_bottomup, compile_topdown
+from tabparse.strategies import DottedRule, compile_bottomup, compile_topdown
 from tabparse.trees import render_tree, tree_yield, validate_tree
 
 CNF_FOREST = """\
@@ -304,6 +314,77 @@ def test_reduce_linear_on_chain():
     elapsed = time.perf_counter() - t0
     assert reduced.rules == f.rules
     assert elapsed < 1.0
+
+
+def _chart_forests(rules, tokens):
+    """The forest of each algorithm that takes the grammar, on tokens."""
+    g = Grammar(tuple(rules), rules[0].lhs)
+    aug = augment_start(g)
+    yield build_forest_items(earley_parse(aug, tokens))
+    yield build_forest_items(run_tabular(compile_topdown(aug), tokens))
+    if not has_epsilon_rules(g):
+        yield build_forest_items(run_tabular(compile_lr(aug), tokens))
+    if is_cnf(g):
+        yield build_forest_cky(cky_parse(g, tokens))
+        yield build_forest_items(run_tabular(compile_bottomup(g), tokens))
+
+
+def _walk_of(reduced):
+    by_head, order, cyclic = reduced._graph
+    return list(by_head.items()), order, cyclic
+
+
+@given(RANDOM_GRAMMARS, st.lists(st.sampled_from("ab"), max_size=4))
+def test_chart_forest_reduces_like_copy_built_by_hand(rules, tokens):
+    # A chart forest skips the productivity pass, a copy built by hand takes
+    # it: both must keep the same rules, in the same walk.
+    for f in _chart_forests(rules, tokens):
+        assert len(set(f.rules)) == len(f.rules)
+        reduced = reduce_forest(f)
+        plain = reduce_forest(ParseForest(f.rules, f.start, f.origin, f.grammar))
+        assert reduced == plain
+        assert _walk_of(reduced) == _walk_of(plain)
+        assert count_trees(reduced) == count_trees(plain)
+        assert extract_trees(reduced, 3) == extract_trees(plain, 3)
+        again = reduce_forest(reduced)
+        assert again == reduced
+        assert _walk_of(again) == _walk_of(reduced)
+
+
+def test_replaced_chart_forest_takes_productivity_pass(expr_grammar):
+    f = build_forest_items(earley_parse(expr_grammar, "a + a * a".split()))
+    ghost = EarleyItem(0, DottedRule(expr_grammar.rules[0], 0), 5)  # has no rule
+    dead = ForestRule(f.start, (ghost,))
+    shortcut = ForestRule(f.start, ("a",))  # productive, and in no builder index
+    edited = dataclasses.replace(f, rules=f.rules + (dead, shortcut))
+    reduced = reduce_forest(edited)
+    assert dead not in reduced.rules
+    assert shortcut in reduced.rules
+    assert reduced.rules == _reference_reduce(edited)
+    # Every tree scans the first token: without its rules nothing is left.
+    scanned = EarleyItem(0, DottedRule(expr_grammar.rules[3], 1), 1)
+    cut = dataclasses.replace(f, rules=tuple(r for r in f.rules if r.head != scanned))
+    assert reduce_forest(cut).rules == _reference_reduce(cut) == ()
+    assert count_trees(reduce_forest(cut)).value == 0
+    # The chart forest itself reduces once and for all.
+    once = reduce_forest(f)
+    assert reduce_forest(once) == once
+    assert _walk_of(reduce_forest(once)) == _walk_of(once)
+
+
+def test_earley_forest_one_rule_per_predicted_item():
+    text = (Path(__file__).resolve().parents[1] / "demos/grammars/expr.cfg").read_text()
+    g = parse_grammar(text)
+    c = earley_parse(g, "a + a * a".split())
+    f = build_forest_items(c)
+    item = EarleyItem(0, DottedRule(Rule("E", ("a",)), 0), 0)
+    justs = c.justifications[item]
+    assert [j.tag for j in justs] == ["predict"] * 3
+    assert len({j.antecedents for j in justs}) == 3  # three different parents
+    assert [r for r in f.rules if r.head == item] == [ForestRule(item, ())]
+    # 59 justifications give 38 rules, as many as a global dedupe of whole rules gave.
+    assert sum(map(len, c.justifications.values())) == 59
+    assert len(f.rules) == 38
 
 
 def _reference_count(f):
