@@ -338,17 +338,16 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     return c
 
 
-def dump_chart(c: Chart) -> str:
-    order = sorted(
-        c.items,
-        key=lambda it: (
-            it.upper_pos,
-            it.lower_pos,
-            str(it.upper),
-            str(it.lower),
-        ),
+def _printed_order(c: Chart) -> list[Item]:
+    """The items by upper position, lower position and symbol text: an
+    order that does not depend on how the agenda ran."""
+    return sorted(
+        c.items, key=lambda it: (it.upper_pos, it.lower_pos, str(it.upper), str(it.lower))
     )
-    return "\n".join(str(it) for it in order)
+
+
+def dump_chart(c: Chart) -> str:
+    return "\n".join(str(it) for it in _printed_order(c))
 
 
 def _dot_escape(text: str) -> str:
@@ -377,10 +376,7 @@ def chart_to_dot(c: Chart) -> str:
             used.add(name)
         return names[key]
 
-    arcs = sorted(
-        c.items,
-        key=lambda it: (it.upper_pos, it.lower_pos, str(it.upper), str(it.lower)),
-    )
+    arcs = _printed_order(c)
     vertices = defaultdict(set)
     for it in arcs:
         vertices[it.lower_pos].add(it.lower)

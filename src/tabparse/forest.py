@@ -7,11 +7,12 @@ items, one rule per justification, which the tree editors then reshape
 into trees of the original grammar.  Read this way a chart is a shared
 forest grammar (Billot & Lang 1989) in which every nonterminal derives a
 token string: an entry's first justification uses only entries derived
-before it, and its forest body is a subset of those antecedents.  So the
-builders hand over their rules grouped by head, and `reduce_forest` only
-walks what the start node reaches.  Counting and extraction never
-enumerate shared substructure twice, so they stay cheap even when the
-number of trees is astronomical or infinite.  Both reuse the by-head index,
+before it, and its forest body is a subset of those antecedents.  So a
+chart forest makes a head's rules when first asked and its full `rules`,
+in chart order, only when read; `reduce_forest` makes none for an entry
+the start node does not reach.  Counting and extraction never enumerate
+shared substructure twice, so they stay cheap even when the number of
+trees is astronomical or infinite.  Both reuse the by-head index,
 children-first order and cycle flag that `reduce_forest` finds in its
 walk, and both run on explicit stacks, so trees may be of any depth.
 """
@@ -57,47 +58,53 @@ class ParseForest:
     grammar: Optional[Grammar]
     # (by-head index, nodes reached from start children first, cycle flag)
     _graph: Any = field(default=None, init=False, repr=False, compare=False)
-    # Set by the chart builders only: the rules by head, in rule order.  It
-    # means the rules are grouped by head and every head is productive.
-    _by_head: Any = field(default=None, init=False, repr=False, compare=False)
+    # Chart forests only: (a function giving the heads in chart order, one
+    # giving a head's rules or None).  Such a forest makes `rules` when read.
+    _chart: Any = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name: str):
+        if name != "rules" or self._chart is None:
+            raise AttributeError(name)
+        heads, rules_of = self._chart
+        object.__setattr__(self, name, tuple(r for h in heads() for r in rules_of(h) or ()))
+        return self.rules
 
 
-def _chart_forest(entries, start, origin: str, grammar) -> ParseForest:
-    """The forest of a chart, from its entries in chart order, each with the
-    (body, grammar rule) of every justification.  Two justifications may
-    give one body (an Earley item predicted by two parents), so entries
-    with several drop repeats."""
-    by_head: dict[Any, list[ForestRule]] = {}
-    for head, steps in entries:
-        if len(steps) > 1:
-            steps = dict.fromkeys(steps)
-        by_head[head] = [ForestRule(head, body, rule) for body, rule in steps]
-    rules = tuple(itertools.chain.from_iterable(by_head.values()))
-    f = ParseForest(rules, start, origin, grammar)
-    object.__setattr__(f, "_by_head", by_head)
+def _chart_forest(heads, rules_of, start, origin: str, grammar) -> ParseForest:
+    f = object.__new__(ParseForest)  # with no `rules` until they are read
+    f.__dict__.update(start=start, origin=origin, grammar=grammar, _chart=(heads, rules_of))
     return f
 
 
-def _cky_entries(c: CkyChart):
-    for pos, token in enumerate(c.tokens):
-        yield SpanNode(pos, token, pos + 1), [((token,), None)]
-    for start, symbol, end in sorted(c.justifications, key=lambda k: (k[0], k[2], k[1])):
-        steps = []
-        for just in c.justifications[(start, symbol, end)]:
-            if just.split is None:
-                body = (SpanNode(start, c.tokens[start], end),)
-            else:
-                body = (
-                    SpanNode(start, just.rule.rhs[0], just.split),
-                    SpanNode(just.split, just.rule.rhs[1], end),
-                )
-            steps.append((body, just.rule))
-        yield SpanNode(start, symbol, end), steps
+def _rules(head, steps) -> list[ForestRule]:
+    """A head's rules, from the (body, grammar rule) of each justification;
+    repeats go, as two may give one body (an item predicted twice)."""
+    if len(steps) > 1:
+        steps = dict.fromkeys(steps)
+    return [ForestRule(head, body, rule) for body, rule in steps]
+
+
+def _cky_body(span: SpanNode, just) -> tuple[tuple, Optional[Rule]]:
+    rule, split = just
+    if split is None:
+        return (SpanNode(span.start, rule.rhs[0], span.end),), rule
+    return (SpanNode(span.start, rule.rhs[0], split), SpanNode(split, rule.rhs[1], span.end)), rule
 
 
 def build_forest_cky(c: CkyChart) -> ParseForest:
+    """Forest over the chart's spans, one rule per justification and one per
+    token.  A span's rules are made when first asked for; the full rules,
+    token nodes first and then in chart order, only when read."""
+    tokens = {SpanNode(i, t, i + 1): [((t,), None)] for i, t in enumerate(c.tokens)}
+
+    def rules_of(span: SpanNode) -> list[ForestRule]:
+        if span not in c.justifications:
+            return _rules(span, tokens.get(span, []))
+        return _rules(span, [_cky_body(span, j) for j in c.justifications[span]])
+
+    heads = lambda: itertools.chain(tokens, map(SpanNode._make, c.justifications))
     start = SpanNode(0, c.grammar.start, len(c.tokens))
-    return _chart_forest(_cky_entries(c), start, "cky", c.grammar)
+    return _chart_forest(heads, rules_of, start, "cky", c.grammar)
 
 
 def _earley_body(just) -> tuple[tuple, None]:
@@ -130,19 +137,17 @@ def _engine_body(just) -> tuple[tuple, Optional[Rule]]:
 
 
 def build_forest_items(c) -> ParseForest:
-    """Forest over the chart's own items, one rule per justification."""
+    """Forest over the chart's own items, one rule per justification, made
+    on demand; the full rules come in the order items were first derived."""
     if isinstance(c, EarleyChart):
-        order = sorted(c.items, key=lambda it: (it.end, it.origin, str(it.dotted)))
-        entries = ((it, [_earley_body(j) for j in c.justifications[it]]) for it in order)
-        return _chart_forest(entries, c.final_item(), "earley", c.grammar)
-    if isinstance(c, Chart):
-        order = sorted(
-            c.items,
-            key=lambda it: (it.upper_pos, it.lower_pos, str(it.upper), str(it.lower)),
-        )
-        entries = ((it, [_engine_body(j) for j in c.justifications[it]]) for it in order)
-        return _chart_forest(entries, c.accept_item(), c.pda.kind, c.pda.grammar)
-    raise ForestError(f"cannot build a forest from {type(c).__name__}")
+        body_of, start, origin, grammar = _earley_body, c.final_item(), "earley", c.grammar
+    elif isinstance(c, Chart):
+        body_of, start, origin, grammar = _engine_body, c.accept_item(), c.pda.kind, c.pda.grammar
+    else:
+        raise ForestError(f"cannot build a forest from {type(c).__name__}")
+    justs = c.justifications
+    rules_of = lambda item: _rules(item, [body_of(j) for j in justs.get(item, ())])
+    return _chart_forest(justs.keys, rules_of, start, origin, grammar)
 
 
 def reduce_forest(f: ParseForest) -> ParseForest:
@@ -152,29 +157,28 @@ def reduce_forest(f: ParseForest) -> ParseForest:
 
     A chart forest needs only the top-down half: every chart entry derives
     a token string, since its first justification uses only entries derived
-    before it, so the builders' by-head index is walked as it is.  Any other
-    forest, built by hand or rebuilt with `dataclasses.replace`, first takes
-    the counter-based worklist of linear-time Horn satisfiability (Dowling &
-    Gallier 1984): each rule counts its body nodes not yet known productive,
-    and each node, once productive, decrements the rules that use it.
+    before it.  So it is walked as it is, which makes the rules of the heads
+    reached and no others.  Any other forest, built by hand or rebuilt with
+    `dataclasses.replace`, first takes the counter-based worklist of
+    linear-time Horn satisfiability (Dowling & Gallier 1984): each rule
+    counts its body nodes not yet known productive, and each node, once
+    productive, decrements the rules that use it.
 
     The top-down half is a depth-first walk whose by-head index,
     children-first order and cycle flag the returned forest keeps for
     `count_trees` and `extract_trees`.  Both halves take time linear in the
-    total body length, and the kept rules stay in their original order.
+    total body length.  The kept rules stay in their original order; those
+    of a chart forest are made when read.
     """
-    index = f._by_head
-    if index is None:
+    if f._chart is None:
         usable = _productive(f.rules)
-        index = _index(usable)
-    order, cyclic = _walk(f.start, index)
-    by_head = {h: index[h] for h in order if h in index}
-    if f._by_head is None:
-        kept = tuple(r for r in usable if r.head in by_head)
+        graph = _walk(f.start, _lookup(usable))
+        kept = tuple(r for r in usable if r.head in graph[0])
+        reduced = ParseForest(kept, f.start, f.origin, f.grammar)
     else:
-        kept = tuple(r for h, rs in index.items() if h in by_head for r in rs)
-    reduced = ParseForest(kept, f.start, f.origin, f.grammar)
-    object.__setattr__(reduced, "_graph", (by_head, order, cyclic))
+        graph = _walk(f.start, f._chart[1])
+        reduced = _chart_forest(f._chart[0], graph[0].get, f.start, f.origin, f.grammar)
+    object.__setattr__(reduced, "_graph", graph)
     return reduced
 
 
@@ -205,20 +209,23 @@ def _productive(rules) -> list[ForestRule]:
     return [r for r, count in zip(rules, missing) if count == 0]
 
 
-def _index(rules) -> dict[Any, list[ForestRule]]:
+def _lookup(rules):
+    """The rules of a head, or None, for a forest built by hand."""
     by_head: dict[Any, list[ForestRule]] = {}
     for r in rules:
         by_head.setdefault(r.head, []).append(r)
-    return by_head
+    return by_head.get
 
 
 _CLOSE = object()  # marks, on the walk's stack, the node below it as done
 
 
-def _walk(start, by_head: dict) -> tuple[list, bool]:
-    """Walk the by-head index depth-first from start, on an explicit stack:
-    the nodes reached, children first, and whether the walk meets a cycle
-    (an edge back to a node still open)."""
+def _walk(start, rules_of) -> tuple[dict, list, bool]:
+    """Walk depth-first from start, on an explicit stack, asking `rules_of`
+    once for the rules (or None) of each node reached: the nodes reached
+    that have rules, with them, and all nodes reached, both children first,
+    and whether the walk meets a cycle (an edge back to a node still open)."""
+    by_head: dict = {}
     finished: dict = {}  # False while the node is open
     order = []
     cyclic = False
@@ -226,13 +233,16 @@ def _walk(start, by_head: dict) -> tuple[list, bool]:
     while stack:
         head = stack.pop()
         if head is _CLOSE:
-            head = stack.pop()
+            rules, head = stack.pop(), stack.pop()
             finished[head] = True
             order.append(head)
+            if rules:
+                by_head[head] = rules
         elif head not in finished:
             finished[head] = False
-            stack += (head, _CLOSE)
-            for r in by_head.get(head, ()):
+            rules = rules_of(head) or ()
+            stack += (head, rules, _CLOSE)
+            for r in rules:
                 for b in r.body:
                     if not isinstance(b, str):
                         done = finished.get(b)
@@ -240,14 +250,14 @@ def _walk(start, by_head: dict) -> tuple[list, bool]:
                             stack.append(b)
                         elif not done:
                             cyclic = True
-    return order, cyclic
+    return by_head, order, cyclic
 
 
 def _graph(f: ParseForest) -> tuple[dict, list, bool]:
     """The walk `reduce_forest` keeps; any other forest is walked once."""
     if f._graph is None:
-        by_head = _index(f.rules) if f._by_head is None else f._by_head
-        object.__setattr__(f, "_graph", (by_head, *_walk(f.start, by_head)))
+        rules_of = _lookup(f.rules) if f._chart is None else f._chart[1]
+        object.__setattr__(f, "_graph", _walk(f.start, rules_of))
     return f._graph
 
 

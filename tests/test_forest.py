@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -10,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
+from tabparse import forest
 from tabparse.cky import cky_parse
 from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import run_tabular
@@ -217,11 +221,58 @@ def test_no_editor_for_binarized_machines(sps_grammar):
         extract_trees(f, 1)
 
 
-def test_rejected_input_gives_empty_forest(cnf_grammar):
-    c = cky_parse(cnf_grammar, "ab")
-    reduced = reduce_forest(build_forest_cky(c))
+def _assert_empty(f):
+    # The start node has no chart entry, so it has no rules to walk.
+    reduced = reduce_forest(f)
+    assert reduced.rules == ()
+    assert _walk_of(reduced) == ([], [f.start], False)
     assert count_trees(reduced).value == 0
     assert extract_trees(reduced, 5) == []
+
+
+def test_rejected_input_gives_empty_forest(cnf_grammar):
+    _assert_empty(build_forest_cky(cky_parse(cnf_grammar, "ab")))
+
+
+@pytest.mark.parametrize("algorithm", ["earley", "topdown", "bottomup", "glr"])
+def test_rejected_input_gives_empty_item_forest(algorithm, expr_grammar, cnf_grammar):
+    if algorithm == "bottomup":
+        c = run_tabular(compile_bottomup(cnf_grammar), "ab")
+    elif algorithm == "earley":
+        c = earley_parse(expr_grammar, "a + * a".split())
+    else:
+        compile_ = compile_topdown if algorithm == "topdown" else compile_lr
+        c = run_tabular(compile_(expr_grammar), "a + * a".split())
+    _assert_empty(build_forest_items(c))
+
+
+@pytest.mark.parametrize(
+    "algorithm,made,total", [("earley", 151, 1478), ("topdown", 151, 1478), ("glr", 101, 1376)]
+)
+def test_reduce_makes_only_rules_it_keeps(monkeypatch, algorithm, made, total):
+    # Under right recursion most items are partial lists the whole input
+    # never uses; reduction turns only the justifications of the heads the
+    # start node reaches into rules.
+    g = augment_start(parse_grammar("L -> a L\nL -> a"))
+    tokens = ("a",) * 50
+    if algorithm == "earley":
+        c, name = earley_parse(g, tokens), "_earley_body"
+    else:
+        compile_ = compile_topdown if algorithm == "topdown" else compile_lr
+        c, name = run_tabular(compile_(g), tokens), "_engine_body"
+    body = getattr(forest, name)
+    calls = []
+    monkeypatch.setattr(forest, name, lambda just: calls.append(just) or body(just))
+    full = build_forest_items(c)
+    reduced = reduce_forest(full)
+    assert len(calls) == made
+    assert made == sum(len(c.justifications[h]) for h in reduced._graph[1])
+    assert sum(map(len, c.justifications.values())) == total > 5 * made
+    assert len(reduced.rules) == made  # one rule per justification here
+    # Reading the full rules makes every rule, as an eager build did.
+    eager = {ForestRule(h, *body(j)) for h, justs in c.justifications.items() for j in justs}
+    assert set(full.rules) == eager and len(full.rules) == len(eager)
+    assert len(calls) == made + total
 
 
 def test_forest_from_wrong_object():
@@ -385,6 +436,57 @@ def test_earley_forest_one_rule_per_predicted_item():
     # 59 justifications give 38 rules, as many as a global dedupe of whole rules gave.
     assert sum(map(len, c.justifications.values())) == 59
     assert len(f.rules) == 38
+
+
+_ORDER_SCRIPT = """
+import sys
+from pathlib import Path
+from tabparse.earley import earley_parse
+from tabparse.engine import run_tabular
+from tabparse.forest import build_forest_items, extract_trees, reduce_forest
+from tabparse.grammar import augment_start, parse_grammar
+from tabparse.lr import compile_lr
+from tabparse.strategies import compile_topdown
+from tabparse.trees import render_tree
+
+g = augment_start(parse_grammar(Path(sys.argv[1]).read_text()))
+tokens = "a + a * a + a".split()
+for name, parse in [
+    ("earley", lambda: earley_parse(g, tokens)),
+    ("topdown", lambda: run_tabular(compile_topdown(g), tokens)),
+    ("glr", lambda: run_tabular(compile_lr(g), tokens)),
+]:
+    full = build_forest_items(parse())
+    reduced = reduce_forest(full)
+    for label, f in (("full", full), ("reduced", reduced)):
+        print(name, label)
+        for r in f.rules:
+            print(" ", r.head, "->", *r.body)
+    for tree in extract_trees(reduced, 3):
+        print(" ", render_tree(tree))
+"""
+
+
+def test_rule_order_is_the_same_under_any_hash_seed():
+    # Rule order is chart order, the order items were first derived, not a
+    # sort: neither it nor the trees picked may depend on string hashing.
+    here = Path(__file__).resolve().parents[1]
+    printed = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        path = [str(here / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ORDER_SCRIPT, str(here / "demos/grammars/expr.cfg")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
+    assert printed[0].count(" reduced\n") == 3
 
 
 def _reference_count(f):
