@@ -44,12 +44,13 @@ print()
 print(dump_chart(chart))
 
 # Every item remembers how it was derived.  The accept item's
-# justifications are the roots of the packed derivation structure.
+# justifications are the roots of the packed derivation structure.  The
+# chart stores them as plain (tag, antecedents, via) tuples.
 accept = chart.accept_item()
 print()
 print("accept item:", accept)
-for j in chart.justifications[accept]:
-    print(f"  {j.tag} from {len(j.antecedents)} antecedent(s)")
+for tag, antecedents, _ in chart.justifications[accept]:
+    print(f"  {tag} from {len(antecedents)} antecedent(s)")
 
 # The chart is a graph: positions are columns, items are edges.
 out = here / "expr_chart.dot"

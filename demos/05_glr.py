@@ -13,7 +13,7 @@ backwards when the moment comes.
 
 import pathlib
 
-from tabparse.engine import recognized, run_tabular
+from tabparse.engine import Item, recognized, run_tabular
 from tabparse.grammar import parse_grammar
 from tabparse.lr import binarize_reductions, build_lr_automaton, compile_lr, dump_automaton
 from tabparse.pda import dump_pda
@@ -37,12 +37,13 @@ print("input:", " ".join(tokens))
 print("recognized:", recognized(chart))
 
 # Each accept justification pins down one reduction chain, i.e. one way
-# of grouping the additions.
+# of grouping the additions.  The chart stores justifications as plain
+# (tag, antecedents, via) tuples; Item names the fields of an antecedent.
 accept = chart.accept_item()
-for j in chart.justifications[accept]:
-    below, *chain = j.antecedents
+for tag, antecedents, via in chart.justifications[accept]:
+    below, *chain = map(Item._make, antecedents)
     spans = ", ".join(f"{a.lower}:{a.lower_pos}..{a.upper_pos}" for a in chain)
-    print(f"  {j.tag} by {j.via.rule} through {spans}")
+    print(f"  {tag} by {via.rule} through {spans}")
 
 # Lazy reductions can pop arbitrarily many symbols at once.  Binarizing
 # rewrites them into two-symbol pops over auxiliary stack symbols, at

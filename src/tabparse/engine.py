@@ -15,6 +15,15 @@ machines.
 
 Each derived item records how it was inferred (rule tag, antecedent items,
 transition).  These justifications are what parse forests are built from.
+
+Chart format: the saturation loop stores plain tuples and reads them by
+position, so no constructor runs per inference.  An item is the tuple
+(lower, lower_pos, upper, upper_pos) and a justification the tuple (tag,
+antecedents, via).  `Item` and `Justification` are named views of these
+tuples: a view equals and hashes like the plain tuple, so `Item(...) in
+chart.items` and `chart.justifications[Item(...)]` work, and
+`Item._make(entry)` names the fields of a chart entry.  Printing goes
+through the views.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ class UnsupportedTransition(ValueError):
 
 
 class Item(NamedTuple):
+    """Named view of a chart item, which the chart stores as a plain tuple."""
+
     lower: Any
     lower_pos: int
     upper: Any
@@ -45,7 +56,7 @@ class Item(NamedTuple):
 
 
 class Justification(NamedTuple):
-    """One way an item was inferred."""
+    """Named view of one way an item was inferred, stored as a plain tuple."""
 
     tag: str
     antecedents: tuple[Item, ...]
@@ -92,13 +103,14 @@ class Deduction:
 
 
 class Chart(Deduction):
-    justifications: dict[Item, list[Justification]]
+    # Plain tuples throughout, in the layouts of `Item` and `Justification`.
+    justifications: dict[tuple, list[tuple]]
 
     def __init__(self, pda: Pda, tokens, agenda_order: str = "lifo"):
         super().__init__(tokens, agenda_order)
         self.pda = pda
-        self.by_upper_at: dict[tuple[Any, int], list[Item]] = defaultdict(list)
-        self.by_lower_at: dict[tuple[Any, int], list[Item]] = defaultdict(list)
+        self.by_upper_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
+        self.by_lower_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
 
     def accept_item(self) -> Item:
         n = len(self.tokens)
@@ -147,31 +159,32 @@ def classify_transition(t: Transition) -> str:
     raise UnsupportedTransition(f"{t}: unsupported shape")
 
 
-def _chains(c: Chart, item: Item, uppers, lowers) -> list[tuple[Item, ...]]:
+def _chains(c: Chart, item: tuple, uppers, lowers) -> list[tuple]:
     """Linked paths of table arcs through `item`, grown forward by one arc
     ending at each of `uppers` in turn, then backward by one arc starting at
     each of `lowers` in turn.  A None entry accepts any symbol.  A path that
     holds `item` again further back is left to the walk from that position,
     so each path is found once."""
     chains = [(item,)]
+    by_lower_at, by_upper_at = c.by_lower_at, c.by_upper_at
     for want in uppers:
         chains = [
             ch + (nxt,)
             for ch in chains
-            for nxt in c.by_lower_at.get((ch[-1].upper, ch[-1].upper_pos), ())
-            if want is None or nxt.upper == want
+            for nxt in by_lower_at.get(ch[-1][2:], ())
+            if want is None or nxt[2] == want
         ]
     for want in lowers:
         chains = [
             (prev,) + ch
             for ch in chains
-            for prev in c.by_upper_at.get((ch[0].lower, ch[0].lower_pos), ())
-            if (want is None or prev.lower == want) and prev is not item
+            for prev in by_upper_at.get(ch[0][:2], ())
+            if (want is None or prev[0] == want) and prev is not item
         ]
     return chains
 
 
-def _literal_chains(c: Chart, item: Item, t: Transition):
+def _literal_chains(c: Chart, item: tuple, t: Transition):
     """Antecedent tuples of a multi-pop transition that involve `item`.
 
     The popped symbols q0..qm must appear as a linked path of table arcs;
@@ -181,14 +194,12 @@ def _literal_chains(c: Chart, item: Item, t: Transition):
     pop = t.pop
     lo = 0 if len(t.push) == 1 else 1
     for k in range(lo, len(pop)):
-        if item.upper == pop[k] and (k == 0 or item.lower == pop[k - 1]):
+        if item[2] == pop[k] and (k == 0 or item[0] == pop[k - 1]):
             lowers = [pop[k2 - 1] if k2 else None for k2 in range(k - 1, lo - 1, -1)]
             yield from _chains(c, item, pop[k + 1 :], lowers)
 
 
-def reduction_expand(
-    c: Chart, item: Item, red, k: int
-) -> list[tuple[Item, Justification]]:
+def reduction_expand(c: Chart, item: tuple, red, k: int) -> list[tuple[tuple, tuple]]:
     """Inferences of lazy reduction `red` that pop `item` as its k-th cell.
 
     Reductions are indexed by the goto arc they pop (`Pda.reduction_index`):
@@ -198,42 +209,34 @@ def reduction_expand(
     arc into a state whose dot follows the i-th symbol is a goto edge on it.
     """
     auto = c.pda.automaton
+    lhs = red.rule.lhs
     m = len(red.rule.rhs)
     uppers = (None,) * (m - k - 1) + (red.state,) if k < m else ()
-    out: list[tuple[Item, Justification]] = []
+    out: list[tuple[tuple, tuple]] = []
     for chain in _chains(c, item, uppers, (None,) * (k - 1)):
-        q0 = chain[0].lower
-        start_pos = chain[0].lower_pos
-        end_pos = chain[-1].upper_pos
-        target = auto.goto_state(q0, red.rule.lhs)
+        q0, start_pos = chain[0][:2]
+        end_pos = chain[-1][3]
+        target = auto.goto_state(q0, lhs)
         if target is not None:
-            out.append(
-                (
-                    Item(q0, start_pos, target, end_pos),
-                    Justification("reduce", chain, red),
-                )
-            )
-        if q0 == c.pda.initial and red.rule.lhs == c.pda.grammar.start:
+            out.append(((q0, start_pos, target, end_pos), ("reduce", chain, red)))
+        if q0 == c.pda.initial and lhs == c.pda.grammar.start:
             for below in c.by_upper_at.get((q0, start_pos), ()):
-                if below.lower == BOTTOM:
+                if below[0] == BOTTOM:
                     out.append(
                         (
-                            Item(BOTTOM, below.lower_pos, c.pda.final, end_pos),
-                            Justification("accept", (below,) + chain, red),
+                            (BOTTOM, below[1], c.pda.final, end_pos),
+                            ("accept", (below,) + chain, red),
                         )
                     )
     return out
 
 
-def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
-    """Saturate the table of items for `p` on `tokens`; see `Deduction` for
-    `agenda_order`."""
-    c = Chart(p, tokens, agenda_order)
-    tokens = c.tokens
-    n = len(tokens)
-
-    # Index transitions by the trigger field of their antecedent.  A swap
-    # that keeps the symbol below the top names it as a filter, else None.
+def _trigger_tables(p: Pda) -> tuple:
+    """Transitions indexed by the trigger field of their antecedent, built
+    once per machine and kept on it.  A swap that keeps the symbol below the
+    top names it as a filter, else None."""
+    if p._triggers is not None:
+        return p._triggers
     f1 = defaultdict(list)  # upper -> (token, pushed, t)
     f2 = defaultdict(list)  # upper -> (kept lower, token, replacement, t)
     f3 = defaultdict(list)  # popped pair -> (pushed, t), both slots below
@@ -260,10 +263,22 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
             f6.append((t.read[0], t.push[0], t))
         else:
             f7.append(t)
+    tables = (f1, f2, f3, f3_first, f4, f5, f6, f7)
+    object.__setattr__(p, "_triggers", tables)
+    return tables
+
+
+def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
+    """Saturate the table of items for `p` on `tokens`; see `Deduction` for
+    `agenda_order`."""
+    c = Chart(p, tokens, agenda_order)
+    tokens = c.tokens
+    n = len(tokens)
+    f1, f2, f3, f3_first, f4, f5, f6, f7 = _trigger_tables(p)
 
     add = c.add
     by_upper_at, by_lower_at = c.by_upper_at, c.by_lower_at
-    add(Item(BOTTOM, 0, p.initial, 0), Justification("axiom", (), None))
+    add((BOTTOM, 0, p.initial, 0), ("axiom", (), None))
 
     for item in c.popped():
         low, j, up, i = item
@@ -275,59 +290,41 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
         if tok is not None:
             for a, pushed, t in f1.get(up, ()):
                 if a == tok:
-                    add(Item(up, i, pushed, i + 1), Justification("F1", (item,), t))
+                    add((up, i, pushed, i + 1), ("F1", (item,), t))
             for keep, a, repl, t in f2.get(up, ()):
                 if a == tok and (keep is None or keep == low):
-                    add(Item(low, j, repl, i + 1), Justification("F2", (item,), t))
+                    add((low, j, repl, i + 1), ("F2", (item,), t))
             # Positional: the first arc ending at vertex (up, i) witnesses
             # the push, so it fires once per vertex.
             if len(arcs_in) == 1:
                 for a, pushed, t in f6:
                     if a == tok:
-                        add(Item(up, i, pushed, i + 1), Justification("F6", (), t))
+                        add((up, i, pushed, i + 1), ("F6", (), t))
 
         for pushed, t in f4.get(up, ()):
-            add(Item(up, i, pushed, i), Justification("F4", (item,), t))
+            add((up, i, pushed, i), ("F4", (item,), t))
         for keep, repl, t in f5.get(up, ()):
             if keep is None or keep == low:
-                add(Item(low, j, repl, i), Justification("F5", (item,), t))
+                add((low, j, repl, i), ("F5", (item,), t))
 
         # Pops need a partner: `item` can be the popped pair itself or the
         # arc beneath it.  An item (q, j, q, j) can be both at once; the
         # first loop matches it with itself, so the second skips that pair.
         for q3, t in f3.get((low, up), ()):
             for below in by_upper_at.get((low, j), ()):
-                add(
-                    Item(below.lower, below.lower_pos, q3, i),
-                    Justification("F3", (below, item), t),
-                )
+                add((below[0], below[1], q3, i), ("F3", (below, item), t))
         for q2, q3, t in f3_first.get(up, ()):
             for pair in by_lower_at.get((up, i), ()):
-                if pair.upper == q2 and pair is not item:
-                    add(
-                        Item(low, j, q3, pair.upper_pos),
-                        Justification("F3", (item, pair), t),
-                    )
+                if pair[2] == q2 and pair is not item:
+                    add((low, j, q3, pair[3]), ("F3", (item, pair), t))
 
         for t in f7:
-            single = len(t.push) == 1
             for chain in _literal_chains(c, item, t):
-                if single:
-                    below, *rest = chain
-                    add(
-                        Item(below.lower, below.lower_pos, t.push[0], rest[-1].upper_pos),
-                        Justification("F7", chain, t),
-                    )
+                if len(t.push) == 1:
+                    consequent = (chain[0][0], chain[0][1], t.push[0], chain[-1][3])
                 else:
-                    add(
-                        Item(
-                            t.pop[0],
-                            chain[0].lower_pos,
-                            t.push[1],
-                            chain[-1].upper_pos,
-                        ),
-                        Justification("F7", chain, t),
-                    )
+                    consequent = (t.pop[0], chain[0][1], t.push[1], chain[-1][3])
+                add(consequent, ("F7", chain, t))
 
         # No lazy reductions: skip building and looking up the (low, up) key.
         if p.reduction_index:
@@ -339,10 +336,11 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
 
 
 def _printed_order(c: Chart) -> list[Item]:
-    """The items by upper position, lower position and symbol text: an
-    order that does not depend on how the agenda ran."""
+    """The items as views, by upper position, lower position and symbol
+    text: an order that does not depend on how the agenda ran."""
     return sorted(
-        c.items, key=lambda it: (it.upper_pos, it.lower_pos, str(it.upper), str(it.lower))
+        map(Item._make, c.items),
+        key=lambda it: (it.upper_pos, it.lower_pos, str(it.upper), str(it.lower)),
     )
 
 

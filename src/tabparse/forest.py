@@ -15,6 +15,11 @@ shared substructure twice, so they stay cheap even when the number of
 trees is astronomical or infinite.  Both reuse the by-head index,
 children-first order and cycle flag that `reduce_forest` finds in its
 walk, and both run on explicit stacks, so trees may be of any depth.
+
+The nodes of a forest over an agenda chart are the chart's own entries,
+plain tuples (see `engine` and `earley`), and `build_forest_items` and the
+tree editors read them by position.  `dump_forest` prints them through the item view of
+the forest's origin, `EarleyItem` or `Item`.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
 from .cky import CkyChart
-from .earley import EarleyChart
-from .engine import Chart
+from .earley import EarleyChart, EarleyItem
+from .engine import Chart, Item
 from .grammar import Grammar, Rule
 from .trees import ParseTree, leaf, node
 
@@ -108,37 +113,39 @@ def build_forest_cky(c: CkyChart) -> ParseForest:
 
 
 def _earley_body(just) -> tuple[tuple, None]:
-    if just.tag in ("init", "predict"):
+    tag, antecedents, token = just
+    if tag in ("init", "predict"):
         return (), None
-    if just.tag == "scan":
-        return (just.antecedents[0], just.token), None
-    return just.antecedents, None
+    if tag == "scan":
+        return (antecedents[0], token), None
+    return antecedents, None
 
 
 def _engine_body(just) -> tuple[tuple, Optional[Rule]]:
-    tag = just.tag
+    tag, antecedents, via = just
     if tag in ("axiom", "F4"):
         return (), None
     if tag in ("F1", "F6"):
-        return (just.via.read[0],), None
+        return (via.read[0],), None
     if tag == "F2":
-        return (just.antecedents[0], just.via.read[0]), None
+        return (antecedents[0], via.read[0]), None
     if tag in ("F3", "F5"):
-        return just.antecedents, None
+        return antecedents, None
     if tag == "F7":
-        if len(just.via.push) == 1:
-            return just.antecedents[1:], None
-        return just.antecedents, None
+        if len(via.push) == 1:
+            return antecedents[1:], None
+        return antecedents, None
     if tag == "reduce":
-        return just.antecedents, just.via.rule
+        return antecedents, via.rule
     if tag == "accept":
-        return just.antecedents[1:], just.via.rule
+        return antecedents[1:], via.rule
     raise ForestError(f"unknown justification {tag}")
 
 
 def build_forest_items(c) -> ParseForest:
     """Forest over the chart's own items, one rule per justification, made
-    on demand; the full rules come in the order items were first derived."""
+    on demand; the full rules come in the order items were first derived.
+    Its nodes, the start node too, are the chart's plain tuples."""
     if isinstance(c, EarleyChart):
         body_of, start, origin, grammar = _earley_body, c.final_item(), "earley", c.grammar
     elif isinstance(c, Chart):
@@ -147,7 +154,7 @@ def build_forest_items(c) -> ParseForest:
         raise ForestError(f"cannot build a forest from {type(c).__name__}")
     justs = c.justifications
     rules_of = lambda item: _rules(item, [body_of(j) for j in justs.get(item, ())])
-    return _chart_forest(justs.keys, rules_of, start, origin, grammar)
+    return _chart_forest(justs.keys, rules_of, tuple(start), origin, grammar)
 
 
 def reduce_forest(f: ParseForest) -> ParseForest:
@@ -384,22 +391,28 @@ def _comb(lhs: str, kids: list) -> ParseTree:
     return node(lhs, spine.children + (leaf(last) if isinstance(last, str) else last,))
 
 
+# Item heads are plain chart tuples: an Earley item's dotted rule is at
+# index 1, an engine item's upper symbol at index 2.
 _EDITORS = {
     "cky": _span,
-    "earley": lambda r, kids: _comb(r.head.dotted.rule.lhs, kids),
-    "topdown": lambda r, kids: _comb(r.head.upper.rule.lhs, kids),
+    "earley": lambda r, kids: _comb(r.head[1].rule.lhs, kids),
+    "topdown": lambda r, kids: _comb(r.head[2].rule.lhs, kids),
     "bottomup": lambda r, kids: node(
-        r.head.upper, [leaf(k) if isinstance(k, str) else k for k in kids]
+        r.head[2], [leaf(k) if isinstance(k, str) else k for k in kids]
     ),
     "lr": lambda r, kids: leaf(*kids) if r.rule is None else node(r.rule.lhs, kids),
 }
 
 
 def dump_forest(f: ParseForest, eliminated=frozenset()) -> str:
+    """The rules, sorted by text; plain-tuple nodes print through the item
+    view of the forest's origin."""
+    view = EarleyItem._make if f.origin == "earley" else Item._make
+    show = lambda x: str(view(x) if type(x) is tuple else x)
     entries = []
     for r in f.rules:
-        body = " ".join(str(b) for b in r.body) if r.body else "eps"
-        entries.append((f"{r.head} -> {body}", r in eliminated))
+        body = " ".join(map(show, r.body)) if r.body else "eps"
+        entries.append((f"{show(r.head)} -> {body}", r in eliminated))
     entries.sort(key=lambda e: e[0])
     return "\n".join(
         text + (" #eliminated" if gone else "") for text, gone in entries

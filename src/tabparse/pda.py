@@ -100,6 +100,8 @@ class Pda:
     # "lr-binarized") or "pda" for hand-built ones.  Chart-to-tree editing
     # dispatches on it.
     kind: str = "pda"
+    # The table engine's transition indexes, built on the first run.
+    _triggers: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for sym in (self.initial, self.final):

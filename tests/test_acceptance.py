@@ -12,12 +12,13 @@ import time
 
 from tabparse.cky import cky_parse, cky_recognized, dump_matrix as cky_matrix
 from tabparse.earley import (
+    EarleyItem,
     dump_matrix as earley_matrix,
     earley_ambiguous_final,
     earley_parse,
     earley_recognized,
 )
-from tabparse.engine import BOTTOM, Item, recognized, run_tabular
+from tabparse.engine import BOTTOM, Item, Justification, recognized, run_tabular
 from tabparse.forest import (
     build_forest_cky,
     build_forest_items,
@@ -111,7 +112,7 @@ def test_criterion_02(capsys):
         failures,
         any(
             j.antecedents == (Item("q0", 0, "q2", 2), Item("q2", 2, "q6", 4))
-            for j in justs
+            for j in map(Justification._make, justs)
         ),
         "expected antecedent pair not recorded",
     )
@@ -143,7 +144,7 @@ def test_criterion_03(capsys):
     c = earley_parse(g, "a + a * a".split())
     elapsed = time.perf_counter() - t0
     _check(failures, earley_matrix(c) == EXPR_MATRIX, "matrix differs")
-    filled = {(it.origin, it.end) for it in c.items}
+    filled = {(it.origin, it.end) for it in map(EarleyItem._make, c.items)}
     expected = {
         (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
         (2, 2), (2, 3), (2, 4), (2, 5), (4, 4), (4, 5),
@@ -271,11 +272,15 @@ def test_criterion_06(capsys):
     accept = c.accept_item()
     _check(failures, accept == Item(BOTTOM, 0, p.final, 5), "accept item shape")
     _check(failures, accept in c.items, "not recognized")
-    justs = [j for j in c.justifications.get(accept, []) if j.tag == "accept"]
+    justs = [
+        j
+        for j in map(Justification._make, c.justifications.get(accept, []))
+        if j.tag == "accept"
+    ]
     _check(failures, len(justs) == 2, f"{len(justs)} accept inferences")
     chains = set()
     for j in justs:
-        below, *chain = j.antecedents
+        below, *chain = map(Item._make, j.antecedents)
         _check(
             failures,
             (str(below.lower), below.lower_pos, str(below.upper), below.upper_pos)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from tabparse.cky import CkyJustification, cky_parse, cky_recognized, dump_matrix
-from tabparse.engine import recognized, run_tabular
+from tabparse.engine import Item, recognized, run_tabular
 from tabparse.grammar import GrammarError, grammar_size, parse_grammar
 from tabparse.oracle import recognizes
 from tabparse.strategies import compile_bottomup
@@ -77,7 +77,7 @@ def test_projection_equals_data_driven_table(cnf_grammar):
         native = cky_parse(cnf_grammar, text)
         proj = {
             (it.lower_pos, it.upper, it.upper_pos)
-            for it in c.items
+            for it in map(Item._make, c.items)
             if it.upper in cnf_grammar.nonterminals
         }
         want = {

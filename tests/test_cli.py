@@ -12,6 +12,8 @@ import tabparse.cli as cli
 from conftest import CNF_TEXT, EXPR_TEXT, SPS_TEXT
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+EXPR_CFG = Path(__file__).resolve().parents[1] / "demos/grammars/expr.cfg"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 PACKAGE_DIR = Path(tabparse.__file__).resolve().parent
 INSTALLED_SCRIPT = shutil.which("tabparse")
 
@@ -259,6 +261,25 @@ def test_forest_full_marks_eliminated(run, grammars):
     lines = out.splitlines()[1:]
     assert len(lines) == 18
     assert not any(l.endswith("#eliminated") for l in lines)
+
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+@pytest.mark.parametrize("alg", ["earley", "topdown", "glr"])
+def test_forest_text_golden(run, alg, kind):
+    # Item forests print their nodes through the chart's item views; the
+    # exact text, eliminated marks included, is pinned per algorithm.
+    code, out, err = run(
+        "--grammar",
+        str(EXPR_CFG),
+        "--input",
+        "a + a * a",
+        "--algorithm",
+        alg,
+        "--forest",
+        kind,
+    )
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"forest-{alg}-{kind}.txt").read_text(encoding="utf-8")
 
 
 def test_dot_output(run, grammars, tmp_path):

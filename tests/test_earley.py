@@ -9,7 +9,7 @@ from tabparse.earley import (
     earley_parse,
     earley_recognized,
 )
-from tabparse.engine import run_tabular
+from tabparse.engine import Item, run_tabular
 from tabparse.grammar import GrammarError, augment_start, parse_grammar
 from tabparse.oracle import recognizes
 from tabparse.strategies import DottedRule, compile_topdown
@@ -38,7 +38,7 @@ def test_expr_matrix_frozen(expr_grammar):
 
 def test_empty_cells_stay_empty(expr_grammar):
     c = earley_parse(expr_grammar, "a + a * a".split())
-    filled = {(it.origin, it.end) for it in c.items}
+    filled = {(it.origin, it.end) for it in map(EarleyItem._make, c.items)}
     expected = {
         (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
         (2, 2), (2, 3), (2, 4), (2, 5), (4, 4), (4, 5),
@@ -51,7 +51,7 @@ def test_ambiguity_count(expr_grammar):
     assert earley_ambiguous_final(c) == 2
     final = c.final_item()
     completed = {
-        j.antecedents[1] for j in c.justifications[final] if j.tag == "complete"
+        ants[1] for tag, ants, _ in c.justifications[final] if tag == "complete"
     }
     g = expr_grammar
     assert completed == {
@@ -110,13 +110,17 @@ def test_projection_equals_goal_driven_table(expr_grammar):
         native = earley_parse(expr_grammar, toks)
         proj = {
             (it.lower_pos, str(it.upper), it.upper_pos)
-            for it in c.items
+            for it in map(Item._make, c.items)
             if isinstance(it.upper, DottedRule)
         }
-        want = {(it.origin, str(it.dotted), it.end) for it in native.items}
+        want = {
+            (it.origin, str(it.dotted), it.end)
+            for it in map(EarleyItem._make, native.items)
+        }
         assert proj == want, text
 
 
 def test_item_str(expr_grammar):
     it = EarleyItem(0, DottedRule(expr_grammar.rules[0], 1), 3)
     assert str(it) == "( 0 , S -> E . , 3 )"
+

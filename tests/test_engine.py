@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
-from tabparse.earley import earley_parse
+from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import (
     BOTTOM,
     Item,
@@ -52,8 +52,10 @@ def replay_justifications(c):
     assert set(c.justifications) == c.items
     for item, justs in c.justifications.items():
         assert justs
+        item = Item._make(item)
         for tag, ants, via in justs:
             assert all(a in c.items for a in ants)
+            ants = tuple(map(Item._make, ants))
             if tag == "axiom":
                 assert item == Item(BOTTOM, 0, p.initial, 0)
                 assert ants == () and via is None
@@ -95,7 +97,7 @@ def replay_justifications(c):
                 # positional: some arc must end at the inherited lower vertex
                 assert any(
                     w.upper == item.lower and w.upper_pos == item.lower_pos
-                    for w in c.items
+                    for w in map(Item._make, c.items)
                 )
             elif tag == "F7":
                 chain = ants
@@ -224,7 +226,7 @@ def test_branching_chart_key_justification(branching_pda):
     assert via == Transition(("q2", "q6"), (), ("q7",))
     accept = c.justifications[c.accept_item()]
     assert len(accept) == 2
-    pairs = {j.antecedents[1] for j in accept}
+    pairs = {ants[1] for _, ants, _ in accept}
     assert pairs == {Item("q0", 0, "q7", 4), Item("q0", 0, "q8", 4)}
 
 
@@ -327,6 +329,7 @@ def test_reduction_chains_follow_goto(text, inputs):
                     continue
                 tags.add(tag)
                 chain = ants[1:] if tag == "accept" else ants
+                chain = tuple(map(Item._make, chain))
                 states = [chain[0].lower] + [arc.upper for arc in chain]
                 assert len(chain) == len(red.rule.rhs)
                 for sym, q, t in zip(red.rule.rhs, states, states[1:]):
@@ -459,3 +462,52 @@ def test_inferences_fire_once(rules, tokens):
         machines += [compile_lr(aug), binarize_reductions(compile_lr(aug))]
     for p in machines:
         assert_fires_once(lambda order: run_tabular(p, tokens, agenda_order=order))
+
+
+def assert_plain_entries(c, view):
+    """Chart entries, justifications and antecedents are exact tuples, which
+    the named item view reads back: saturation builds no named tuple per
+    inference.  Returns the tags seen."""
+    tags = set()
+    for item, justs in c.justifications.items():
+        assert type(item) is tuple and view._make(item) == item
+        for just in justs:
+            assert type(just) is tuple and type(just[1]) is tuple
+            tags.add(just[0])
+            for a in just[1]:
+                assert type(a) is tuple and view._make(a) == a
+    return tags
+
+
+def test_chart_entries_are_plain_tuples(branching_pda, expr_grammar, sps_grammar, cnf_grammar):
+    f6_machine = EDGE_MACHINES["f6-two-arcs-below"][0]
+    expr = augment_start(expr_grammar)
+    runs = [
+        (branching_pda, "abcd"),
+        (make_f7_machine(True), "abc"),
+        (make_f7_machine(False), "abc"),
+        (Pda(frozenset("ab"), frozenset("sxf"), "s", "f", tuple(f6_machine)), "ab"),
+        (compile_topdown(expr), "a + a * a".split()),
+        (compile_bottomup(cnf_grammar), "aabb"),
+        (compile_lr(sps_grammar), "a + a + a".split()),
+        (binarize_reductions(compile_lr(sps_grammar)), "a + a + a".split()),
+    ]
+    tags = set()
+    kinds = set()
+    for p, text in runs:
+        tags |= assert_plain_entries(run_tabular(p, list(text)), Item)
+        kinds.add(p.kind)
+    assert kinds == {"pda", "topdown", "bottomup", "lr", "lr-binarized"}
+    assert tags == {"axiom", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "reduce", "accept"}
+    earley = earley_parse(expr, "a + a * a".split())
+    assert assert_plain_entries(earley, EarleyItem) == {"init", "predict", "scan", "complete"}
+
+
+def test_trigger_tables_built_once_per_machine(expr_grammar):
+    p = compile_topdown(augment_start(expr_grammar))
+    first = run_tabular(p, "a + a".split())
+    tables = p._triggers
+    assert tables is not None
+    again = run_tabular(p, "a + a".split())
+    assert p._triggers is tables
+    assert again.justifications == first.justifications

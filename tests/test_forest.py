@@ -430,8 +430,8 @@ def test_earley_forest_one_rule_per_predicted_item():
     f = build_forest_items(c)
     item = EarleyItem(0, DottedRule(Rule("E", ("a",)), 0), 0)
     justs = c.justifications[item]
-    assert [j.tag for j in justs] == ["predict"] * 3
-    assert len({j.antecedents for j in justs}) == 3  # three different parents
+    assert [tag for tag, _, _ in justs] == ["predict"] * 3
+    assert len({ants for _, ants, _ in justs}) == 3  # three different parents
     assert [r for r in f.rules if r.head == item] == [ForestRule(item, ())]
     # 59 justifications give 38 rules, as many as a global dedupe of whole rules gave.
     assert sum(map(len, c.justifications.values())) == 59
@@ -441,8 +441,8 @@ def test_earley_forest_one_rule_per_predicted_item():
 _ORDER_SCRIPT = """
 import sys
 from pathlib import Path
-from tabparse.earley import earley_parse
-from tabparse.engine import run_tabular
+from tabparse.earley import EarleyItem, earley_parse
+from tabparse.engine import Item, run_tabular
 from tabparse.forest import build_forest_items, extract_trees, reduce_forest
 from tabparse.grammar import augment_start, parse_grammar
 from tabparse.lr import compile_lr
@@ -451,17 +451,18 @@ from tabparse.trees import render_tree
 
 g = augment_start(parse_grammar(Path(sys.argv[1]).read_text()))
 tokens = "a + a * a + a".split()
-for name, parse in [
-    ("earley", lambda: earley_parse(g, tokens)),
-    ("topdown", lambda: run_tabular(compile_topdown(g), tokens)),
-    ("glr", lambda: run_tabular(compile_lr(g), tokens)),
+for name, parse, view in [
+    ("earley", lambda: earley_parse(g, tokens), EarleyItem._make),
+    ("topdown", lambda: run_tabular(compile_topdown(g), tokens), Item._make),
+    ("glr", lambda: run_tabular(compile_lr(g), tokens), Item._make),
 ]:
     full = build_forest_items(parse())
     reduced = reduce_forest(full)
     for label, f in (("full", full), ("reduced", reduced)):
         print(name, label)
         for r in f.rules:
-            print(" ", r.head, "->", *r.body)
+            body = (b if isinstance(b, str) else view(b) for b in r.body)
+            print(" ", view(r.head), "->", *body)
     for tree in extract_trees(reduced, 3):
         print(" ", render_tree(tree))
 """
