@@ -4,6 +4,10 @@ Items are (origin, dotted rule, end): the rule's consumed prefix derives
 tokens origin..end and the whole rule was predicted at `origin`.  Agenda
 and chart follow `engine.Deduction`, like the table engine's: a completion
 fires when the second of its two partners is popped, whichever it is.
+Prediction is positional: the rules predicted for B at i depend only on
+(B, i), so they fire once, when the first item waiting for B at i is
+popped, with the justification ("predict", (), None).  `fired` counts the
+recorded justifications, one per inference.
 
 As in the engine, the chart stores plain tuples read by position: items
 (origin, dotted, end) and justifications (tag, antecedents, token).
@@ -46,7 +50,13 @@ class EarleyChart(Deduction):
     justifications: dict[tuple, list[tuple]]
 
     def __init__(self, grammar: Grammar, tokens, agenda_order: str = "lifo"):
-        super().__init__(tokens, agenda_order)
+        starts = grammar.start_rules()
+        if len(starts) != 1:
+            raise GrammarError(
+                f"needs a single {grammar.start} rule; augment the grammar first"
+            )
+        axiom = (0, DottedRule(starts[0], 0), 0)
+        super().__init__(tokens, axiom, ("init", (), None), agenda_order)
         self.grammar = grammar
         # Active items keyed by (their nonterminal goal, their end position);
         # completed items keyed by (their left-hand side, their origin).
@@ -61,17 +71,13 @@ class EarleyChart(Deduction):
 
 
 def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
+    """Saturate the Earley chart of `g` on `tokens`; see `engine.Deduction`
+    for the insertion idiom and `agenda_order`."""
     c = EarleyChart(g, tokens, agenda_order)
-    starts = g.start_rules()
-    if len(starts) != 1:
-        raise GrammarError(
-            f"needs a single {g.start} rule; augment the grammar first"
-        )
     tokens = c.tokens
     n = len(tokens)
-    add = c.add
+    justifications, push = c.justifications, c.agenda.append
     active_at, completed_at = c.active_at, c.completed_at
-    add((0, DottedRule(starts[0], 0), 0), ("init", (), None))
 
     nonterminals = g.nonterminals
     predicted: dict[str, list[DottedRule]] = {}  # nonterminal -> its rules, dot first
@@ -82,18 +88,45 @@ def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
             key = (dotted.rule.lhs, origin)
             completed_at[key].append(item)
             for active in active_at.get(key, ()):
-                add((active[0], active[1].advance(), end), ("complete", (active, item), None))
+                new = (active[0], active[1].advance(), end)
+                just = ("complete", (active, item), None)
+                if new in justifications:
+                    justifications[new].append(just)
+                else:
+                    justifications[new] = [just]
+                    push(new)
         elif goal in nonterminals:
-            active_at[(goal, end)].append(item)
-            rules = predicted.get(goal)
-            if rules is None:
-                rules = predicted[goal] = [DottedRule(r, 0) for r in g.rules_for(goal)]
-            for d in rules:
-                add((end, d, end), ("predict", (item,), None))
+            waiting = active_at[(goal, end)]
+            waiting.append(item)
+            # Positional: the prediction depends only on (goal, end), so the
+            # first item waiting there fires it, once per vertex.
+            if len(waiting) == 1:
+                rules = predicted.get(goal)
+                if rules is None:
+                    rules = predicted[goal] = [DottedRule(r, 0) for r in g.rules_for(goal)]
+                just = ("predict", (), None)  # a constant: folded, not built
+                for d in rules:
+                    new = (end, d, end)
+                    if new in justifications:
+                        justifications[new].append(just)
+                    else:
+                        justifications[new] = [just]
+                        push(new)
             for done in completed_at.get((goal, end), ()):
-                add((origin, dotted.advance(), done[2]), ("complete", (item, done), None))
+                new = (origin, dotted.advance(), done[2])
+                just = ("complete", (item, done), None)
+                if new in justifications:
+                    justifications[new].append(just)
+                else:
+                    justifications[new] = [just]
+                    push(new)
         elif end < n and tokens[end] == goal:
-            add((origin, dotted.advance(), end + 1), ("scan", (item,), goal))
+            new, just = (origin, dotted.advance(), end + 1), ("scan", (item,), goal)
+            if new in justifications:
+                justifications[new].append(just)
+            else:
+                justifications[new] = [just]
+                push(new)
     return c
 
 

@@ -15,6 +15,12 @@ machines.
 
 Each derived item records how it was inferred (rule tag, antecedent items,
 transition).  These justifications are what parse forests are built from.
+The pushes F1, F4 and F6 are positional: their consequent depends only on
+the top vertex (up, i), not on the arc that reached it.  So they fire once
+per vertex, when the first arc ending there is popped, and their
+justifications carry no antecedents.  `fired` counts the recorded
+justifications, one per inference: repeats of a push for each further arc
+into its vertex are not made.
 
 Chart format: the saturation loop stores plain tuples and reads them by
 position, so no constructor runs per inference.  An item is the tuple
@@ -67,39 +73,40 @@ class Deduction:
     """Chart and agenda of a deduction system (Shieber, Schabes & Pereira
     1995, "Principles and implementation of deductive parsing").
 
-    `add` fires one inference: it records the justification and puts a new
-    consequent on the agenda.  The saturation loop indexes each item from
-    `popped` into its chart tables *before* matching it, and matches it only
-    against items already popped.  So an inference fires exactly once, when
-    the last of its antecedents is popped, and `fired` counts distinct
+    The chart is `justifications`, from each item to the ways it was
+    inferred; it starts with the axiom, which starts the agenda too.  The
+    saturation loops fire an inference without a call, in one idiom:
+
+        if new in justifications:
+            justifications[new].append(just)
+        else:
+            justifications[new] = [just]
+            push(new)  # the agenda's append
+
+    A loop indexes each item from `popped` into its chart tables *before*
+    matching it, and matches it only against items already popped.  So an
+    inference fires exactly once, when the last of its antecedents is
+    popped, and `fired`, set when the agenda runs dry, counts distinct
     justifications.  The result is independent of `agenda_order` ("lifo" or
     "fifo"); the knob exists to let tests check exactly that.
     """
 
-    def __init__(self, tokens, agenda_order: str = "lifo"):
+    def __init__(self, tokens, axiom, just, agenda_order: str = "lifo"):
         if agenda_order not in ("lifo", "fifo"):
             raise ValueError(f"unknown agenda order {agenda_order!r}")
         self.tokens = tuple(tokens)
-        self.justifications: dict[Any, list] = {}
+        self.justifications: dict[Any, list] = {axiom: [just]}
         self.items = self.justifications.keys()
-        self.fired = 0
-        self._agenda: deque = deque()
+        self.fired = 1
+        self.agenda: deque = deque([axiom])
         self._lifo = agenda_order == "lifo"
 
-    def add(self, item, just) -> None:
-        self.fired += 1
-        justs = self.justifications.get(item)
-        if justs is None:
-            self.justifications[item] = [just]
-            self._agenda.append(item)
-        else:
-            justs.append(just)
-
     def popped(self):
-        agenda = self._agenda
+        agenda = self.agenda
         pop = agenda.pop if self._lifo else agenda.popleft
         while agenda:
             yield pop()
+        self.fired = sum(map(len, self.justifications.values()))
 
 
 class Chart(Deduction):
@@ -107,7 +114,8 @@ class Chart(Deduction):
     justifications: dict[tuple, list[tuple]]
 
     def __init__(self, pda: Pda, tokens, agenda_order: str = "lifo"):
-        super().__init__(tokens, agenda_order)
+        axiom = (BOTTOM, 0, pda.initial, 0)
+        super().__init__(tokens, axiom, ("axiom", (), None), agenda_order)
         self.pda = pda
         self.by_upper_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
         self.by_lower_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
@@ -234,33 +242,34 @@ def reduction_expand(c: Chart, item: tuple, red, k: int) -> list[tuple[tuple, tu
 def _trigger_tables(p: Pda) -> tuple:
     """Transitions indexed by the trigger field of their antecedent, built
     once per machine and kept on it.  A swap that keeps the symbol below the
-    top names it as a filter, else None."""
+    top names it as a filter, else None.  The pushes F1, F4 and F6 are
+    positional, so their justifications are built here once."""
     if p._triggers is not None:
         return p._triggers
-    f1 = defaultdict(list)  # upper -> (token, pushed, t)
+    f1 = defaultdict(list)  # upper -> (token, pushed, justification)
     f2 = defaultdict(list)  # upper -> (kept lower, token, replacement, t)
     f3 = defaultdict(list)  # popped pair -> (pushed, t), both slots below
     f3_first = defaultdict(list)  # q1 -> (q2, pushed, t)
-    f4 = defaultdict(list)  # upper -> (pushed, t)
+    f4 = defaultdict(list)  # upper -> (pushed, justification)
     f5 = defaultdict(list)  # upper -> (kept lower, replacement, t)
-    f6 = []  # (token, pushed, t)
+    f6 = []  # (token, pushed, justification)
     f7 = []  # literal multi-pop transitions
     for t in dict.fromkeys(p.transitions):
         shape = classify_transition(t)
         keep = t.pop[0] if len(t.pop) == 2 else None
         if shape == "F1":
-            f1[t.pop[0]].append((t.read[0], t.push[1], t))
+            f1[t.pop[0]].append((t.read[0], t.push[1], ("F1", (), t)))
         elif shape == "F2":
             f2[t.pop[-1]].append((keep, t.read[0], t.push[-1], t))
         elif shape == "F3":
             f3[t.pop].append((t.push[0], t))
             f3_first[t.pop[0]].append((t.pop[1], t.push[0], t))
         elif shape == "F4":
-            f4[t.pop[0]].append((t.push[1], t))
+            f4[t.pop[0]].append((t.push[1], ("F4", (), t)))
         elif shape == "F5":
             f5[t.pop[-1]].append((keep, t.push[-1], t))
         elif shape == "F6":
-            f6.append((t.read[0], t.push[0], t))
+            f6.append((t.read[0], t.push[0], ("F6", (), t)))
         else:
             f7.append(t)
     tables = (f1, f2, f3, f3_first, f4, f5, f6, f7)
@@ -270,15 +279,14 @@ def _trigger_tables(p: Pda) -> tuple:
 
 def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     """Saturate the table of items for `p` on `tokens`; see `Deduction` for
-    `agenda_order`."""
+    the insertion idiom and `agenda_order`."""
     c = Chart(p, tokens, agenda_order)
     tokens = c.tokens
     n = len(tokens)
     f1, f2, f3, f3_first, f4, f5, f6, f7 = _trigger_tables(p)
 
-    add = c.add
+    justifications, push = c.justifications, c.agenda.append
     by_upper_at, by_lower_at = c.by_upper_at, c.by_lower_at
-    add((BOTTOM, 0, p.initial, 0), ("axiom", (), None))
 
     for item in c.popped():
         low, j, up, i = item
@@ -287,50 +295,95 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
         by_lower_at[(low, j)].append(item)
         tok = tokens[i] if i < n else None
 
+        # Positional: a push onto vertex (up, i) needs only that the vertex
+        # exists, so the first arc ending there fires it, once per vertex.
+        if len(arcs_in) == 1:
+            if tok is not None:
+                for a, pushed, just in f1.get(up, ()):
+                    if a == tok:
+                        new = (up, i, pushed, i + 1)
+                        if new in justifications:
+                            justifications[new].append(just)
+                        else:
+                            justifications[new] = [just]
+                            push(new)
+                for a, pushed, just in f6:
+                    if a == tok:
+                        new = (up, i, pushed, i + 1)
+                        if new in justifications:
+                            justifications[new].append(just)
+                        else:
+                            justifications[new] = [just]
+                            push(new)
+            for pushed, just in f4.get(up, ()):
+                new = (up, i, pushed, i)
+                if new in justifications:
+                    justifications[new].append(just)
+                else:
+                    justifications[new] = [just]
+                    push(new)
+
         if tok is not None:
-            for a, pushed, t in f1.get(up, ()):
-                if a == tok:
-                    add((up, i, pushed, i + 1), ("F1", (item,), t))
             for keep, a, repl, t in f2.get(up, ()):
                 if a == tok and (keep is None or keep == low):
-                    add((low, j, repl, i + 1), ("F2", (item,), t))
-            # Positional: the first arc ending at vertex (up, i) witnesses
-            # the push, so it fires once per vertex.
-            if len(arcs_in) == 1:
-                for a, pushed, t in f6:
-                    if a == tok:
-                        add((up, i, pushed, i + 1), ("F6", (), t))
-
-        for pushed, t in f4.get(up, ()):
-            add((up, i, pushed, i), ("F4", (item,), t))
+                    new, just = (low, j, repl, i + 1), ("F2", (item,), t)
+                    if new in justifications:
+                        justifications[new].append(just)
+                    else:
+                        justifications[new] = [just]
+                        push(new)
         for keep, repl, t in f5.get(up, ()):
             if keep is None or keep == low:
-                add((low, j, repl, i), ("F5", (item,), t))
+                new, just = (low, j, repl, i), ("F5", (item,), t)
+                if new in justifications:
+                    justifications[new].append(just)
+                else:
+                    justifications[new] = [just]
+                    push(new)
 
         # Pops need a partner: `item` can be the popped pair itself or the
         # arc beneath it.  An item (q, j, q, j) can be both at once; the
         # first loop matches it with itself, so the second skips that pair.
         for q3, t in f3.get((low, up), ()):
             for below in by_upper_at.get((low, j), ()):
-                add((below[0], below[1], q3, i), ("F3", (below, item), t))
+                new, just = (below[0], below[1], q3, i), ("F3", (below, item), t)
+                if new in justifications:
+                    justifications[new].append(just)
+                else:
+                    justifications[new] = [just]
+                    push(new)
         for q2, q3, t in f3_first.get(up, ()):
             for pair in by_lower_at.get((up, i), ()):
                 if pair[2] == q2 and pair is not item:
-                    add((low, j, q3, pair[3]), ("F3", (item, pair), t))
+                    new, just = (low, j, q3, pair[3]), ("F3", (item, pair), t)
+                    if new in justifications:
+                        justifications[new].append(just)
+                    else:
+                        justifications[new] = [just]
+                        push(new)
 
         for t in f7:
             for chain in _literal_chains(c, item, t):
                 if len(t.push) == 1:
-                    consequent = (chain[0][0], chain[0][1], t.push[0], chain[-1][3])
+                    new = (chain[0][0], chain[0][1], t.push[0], chain[-1][3])
                 else:
-                    consequent = (t.pop[0], chain[0][1], t.push[1], chain[-1][3])
-                add(consequent, ("F7", chain, t))
+                    new = (t.pop[0], chain[0][1], t.push[1], chain[-1][3])
+                just = ("F7", chain, t)
+                if new in justifications:
+                    justifications[new].append(just)
+                else:
+                    justifications[new] = [just]
+                    push(new)
 
         # No lazy reductions: skip building and looking up the (low, up) key.
         if p.reduction_index:
             for red, k in p.reduction_index.get((low, up), ()):
-                for consequent, just in reduction_expand(c, item, red, k):
-                    add(consequent, just)
+                for new, just in reduction_expand(c, item, red, k):
+                    if new in justifications:
+                        justifications[new].append(just)
+                    else:
+                        justifications[new] = [just]
+                        push(new)
 
     return c
 

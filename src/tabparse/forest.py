@@ -83,7 +83,8 @@ def _chart_forest(heads, rules_of, start, origin: str, grammar) -> ParseForest:
 
 def _rules(head, steps) -> list[ForestRule]:
     """A head's rules, from the (body, grammar rule) of each justification;
-    repeats go, as two may give one body (an item predicted twice)."""
+    repeats go, as two may give one body (Earley's initial item predicted
+    again, where the start symbol occurs in a rule body)."""
     if len(steps) > 1:
         steps = dict.fromkeys(steps)
     return [ForestRule(head, body, rule) for body, rule in steps]

@@ -19,26 +19,35 @@ from typing import Any, NamedTuple, Optional
 class Marker:
     """Display-only stack symbol (bottom markers and the like).
 
-    Markers compare equal by name but never equal a plain string, so a marker
-    cannot collide with a grammar symbol spelled the same way.
+    Hash-consed like `strategies.DottedRule`: ``Marker(name)`` returns the
+    one marker of that name, so markers compare and hash by identity.  A
+    marker never equals a plain string, so it cannot collide with a grammar
+    symbol spelled the same way.
     """
 
     __slots__ = ("name",)
+    _table: dict[str, "Marker"] = {}
 
-    def __init__(self, name: str):
-        self.name = name
+    def __new__(cls, name: str) -> "Marker":
+        self = cls._table.get(name)
+        if self is not None:
+            return self
+        self = object.__new__(cls)
+        object.__setattr__(self, "name", name)
+        # setdefault keeps the table's instance if another thread won the race.
+        return cls._table.setdefault(name, self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return Marker, (self.name,)
 
     def __repr__(self) -> str:
         return self.name
 
     def __str__(self) -> str:
         return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, Marker) and other.name == self.name
-
-    def __hash__(self):
-        return hash((Marker, self.name))
 
 
 class Transition(NamedTuple):

@@ -33,7 +33,7 @@ def test_expr_matrix_frozen(expr_grammar):
     c = earley_parse(expr_grammar, "a + a * a".split())
     assert dump_matrix(c) == EXPR_MATRIX
     assert earley_recognized(c)
-    assert c.fired == 59
+    assert c.fired == 38
 
 
 def test_empty_cells_stay_empty(expr_grammar):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from tabparse.pda import (
@@ -51,6 +54,19 @@ def test_marker_identity():
     assert Marker("bot") != Marker("top")
     assert Marker("S") != "S"
     assert str(Marker("bot")) == "bot"
+
+
+def test_marker_is_hash_consed():
+    m = Marker("bot")
+    assert Marker("bot") is m
+    assert Marker("top") is not m
+    assert copy.copy(m) is m
+    assert copy.deepcopy(m) is m
+    assert pickle.loads(pickle.dumps(m)) is m
+    assert m != "bot" and "bot" != m
+    assert len({m, "bot"}) == 2
+    with pytest.raises(AttributeError):
+        m.name = "top"
 
 
 def test_symbol_validation():
