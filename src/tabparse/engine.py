@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Any, NamedTuple, Optional
 
+from .lr import index_reductions
 from .pda import Marker, Pda, Transition, render_symbol
 
 BOTTOM = Marker("bot")
@@ -210,11 +211,12 @@ def _literal_chains(c: Chart, item: tuple, t: Transition):
 def reduction_expand(c: Chart, item: tuple, red, k: int) -> list[tuple[tuple, tuple]]:
     """Inferences of lazy reduction `red` that pop `item` as its k-th cell.
 
-    Reductions are indexed by the goto arc they pop (`Pda.reduction_index`):
-    `item` is a goto edge over the k-th right-hand-side symbol, into the
-    reduction's state if k is the last cell.  The rest of the path is found
-    by walking arc linkage.  A path into that state needs no goto check: an
-    arc into a state whose dot follows the i-th symbol is a goto edge on it.
+    The engine indexes the machine's `reductions` by the goto arc they pop
+    (`_trigger_tables`): `item` is a goto edge over the k-th right-hand-side
+    symbol, into the reduction's state if k is the last cell.  The rest of
+    the path is found by walking arc linkage.  A path into that state needs
+    no goto check: an arc into a state whose dot follows the i-th symbol is
+    a goto edge on it.
     """
     auto = c.pda.automaton
     lhs = red.rule.lhs
@@ -240,39 +242,44 @@ def reduction_expand(c: Chart, item: tuple, red, k: int) -> list[tuple[tuple, tu
 
 
 def _trigger_tables(p: Pda) -> tuple:
-    """Transitions indexed by the trigger field of their antecedent, built
-    once per machine and kept on it.  A swap that keeps the symbol below the
-    top names it as a filter, else None.  The pushes F1, F4 and F6 are
-    positional, so their justifications are built here once."""
+    """The engine's indexes, built from the machine alone, once per machine
+    and kept on it.
+
+    `pushes` maps an upper symbol to the F1, F6 and F4 entries (token or
+    None, pushed, step, justification) that push onto it, in that family
+    order; they are positional, so their justifications are built here
+    once.  F6 pops nothing, so its entries are also the default for any
+    upper symbol.  `swaps` maps an upper symbol to the F2 then F5 entries
+    (kept lower or None, token or None, replacement, step, tag, transition)
+    that replace it; a swap that keeps the symbol below the top names it as
+    a filter.  Lazy reductions are indexed by the goto arc they pop."""
     if p._triggers is not None:
         return p._triggers
-    f1 = defaultdict(list)  # upper -> (token, pushed, justification)
-    f2 = defaultdict(list)  # upper -> (kept lower, token, replacement, t)
+    f1, f2, f4, f5 = (defaultdict(list) for _ in range(4))  # upper -> entries
+    family = {"F1": f1, "F2": f2, "F4": f4, "F5": f5}
+    f6 = []
     f3 = defaultdict(list)  # popped pair -> (pushed, t), both slots below
     f3_first = defaultdict(list)  # q1 -> (q2, pushed, t)
-    f4 = defaultdict(list)  # upper -> (pushed, justification)
-    f5 = defaultdict(list)  # upper -> (kept lower, replacement, t)
-    f6 = []  # (token, pushed, justification)
     f7 = []  # literal multi-pop transitions
     for t in dict.fromkeys(p.transitions):
         shape = classify_transition(t)
-        keep = t.pop[0] if len(t.pop) == 2 else None
-        if shape == "F1":
-            f1[t.pop[0]].append((t.read[0], t.push[1], ("F1", (), t)))
-        elif shape == "F2":
-            f2[t.pop[-1]].append((keep, t.read[0], t.push[-1], t))
+        a, step = (t.read[0], 1) if t.read else (None, 0)
+        if shape in ("F1", "F4"):
+            family[shape][t.pop[0]].append((a, t.push[1], step, (shape, (), t)))
+        elif shape in ("F2", "F5"):
+            keep = t.pop[0] if len(t.pop) == 2 else None
+            family[shape][t.pop[-1]].append((keep, a, t.push[-1], step, shape, t))
         elif shape == "F3":
             f3[t.pop].append((t.push[0], t))
             f3_first[t.pop[0]].append((t.pop[1], t.push[0], t))
-        elif shape == "F4":
-            f4[t.pop[0]].append((t.push[1], ("F4", (), t)))
-        elif shape == "F5":
-            f5[t.pop[-1]].append((keep, t.push[-1], t))
         elif shape == "F6":
-            f6.append((t.read[0], t.push[0], ("F6", (), t)))
+            f6.append((a, t.push[0], step, ("F6", (), t)))
         else:
             f7.append(t)
-    tables = (f1, f2, f3, f3_first, f4, f5, f6, f7)
+    pushes = {up: f1[up] + f6 + f4[up] for up in {**f1, **f4}}
+    swaps = {up: f2[up] + f5[up] for up in {**f2, **f5}}
+    reductions = index_reductions(p.automaton, p.reductions)
+    tables = (pushes, f6, swaps, f3, f3_first, f7, reductions)
     object.__setattr__(p, "_triggers", tables)
     return tables
 
@@ -283,7 +290,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     c = Chart(p, tokens, agenda_order)
     tokens = c.tokens
     n = len(tokens)
-    f1, f2, f3, f3_first, f4, f5, f6, f7 = _trigger_tables(p)
+    pushes, f6, swaps, f3, f3_first, f7, reductions = _trigger_tables(p)
 
     justifications, push = c.justifications, c.agenda.append
     by_upper_at, by_lower_at = c.by_upper_at, c.by_lower_at
@@ -298,43 +305,18 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
         # Positional: a push onto vertex (up, i) needs only that the vertex
         # exists, so the first arc ending there fires it, once per vertex.
         if len(arcs_in) == 1:
-            if tok is not None:
-                for a, pushed, just in f1.get(up, ()):
-                    if a == tok:
-                        new = (up, i, pushed, i + 1)
-                        if new in justifications:
-                            justifications[new].append(just)
-                        else:
-                            justifications[new] = [just]
-                            push(new)
-                for a, pushed, just in f6:
-                    if a == tok:
-                        new = (up, i, pushed, i + 1)
-                        if new in justifications:
-                            justifications[new].append(just)
-                        else:
-                            justifications[new] = [just]
-                            push(new)
-            for pushed, just in f4.get(up, ()):
-                new = (up, i, pushed, i)
-                if new in justifications:
-                    justifications[new].append(just)
-                else:
-                    justifications[new] = [just]
-                    push(new)
-
-        if tok is not None:
-            for keep, a, repl, t in f2.get(up, ()):
-                if a == tok and (keep is None or keep == low):
-                    new, just = (low, j, repl, i + 1), ("F2", (item,), t)
+            for a, pushed, step, just in pushes.get(up, f6):
+                if a is None or a == tok:
+                    new = (up, i, pushed, i + step)
                     if new in justifications:
                         justifications[new].append(just)
                     else:
                         justifications[new] = [just]
                         push(new)
-        for keep, repl, t in f5.get(up, ()):
-            if keep is None or keep == low:
-                new, just = (low, j, repl, i), ("F5", (item,), t)
+
+        for keep, a, repl, step, tag, t in swaps.get(up, ()):
+            if (a is None or a == tok) and (keep is None or keep == low):
+                new, just = (low, j, repl, i + step), (tag, (item,), t)
                 if new in justifications:
                     justifications[new].append(just)
                 else:
@@ -376,8 +358,8 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
                     push(new)
 
         # No lazy reductions: skip building and looking up the (low, up) key.
-        if p.reduction_index:
-            for red, k in p.reduction_index.get((low, up), ()):
+        if reductions:
+            for red, k in reductions.get((low, up), ()):
                 for new, just in reduction_expand(c, item, red, k):
                     if new in justifications:
                         justifications[new].append(just)

@@ -5,10 +5,10 @@ stack cell; shifting reads a token and pushes the successor state, and a
 reduction pops one cell per right-hand-side symbol before pushing the goto
 of the uncovered state.  Reductions pop unboundedly many cells, so they are
 kept as lazy descriptors (state, rule) and instantiated against a concrete
-stack or table on demand.  The machine also indexes them by the goto arc they
-pop, so a table engine looks up the reductions an arc can take part in rather
-than trying every one.  `binarize_reductions` rewrites them into bounded
-transitions for engines that want none of that laziness.
+stack or table on demand.  The table engine indexes them by the goto arc
+they pop (`index_reductions`), so it looks up the reductions an arc can take
+part in rather than trying every one.  `binarize_reductions` rewrites them
+into bounded transitions for engines that want none of that laziness.
 """
 
 from __future__ import annotations
@@ -184,7 +184,6 @@ def compile_lr(g: Grammar) -> Pda:
         transitions=tuple(transitions),
         reductions=tuple(reductions),
         automaton=auto,
-        reduction_index=index_reductions(auto, reductions),
         grammar=g,
         kind="lr",
     )

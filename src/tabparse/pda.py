@@ -93,11 +93,10 @@ class Pda:
     transitions: tuple[Transition, ...]
     # Lazily expanded reductions for shift-reduce automata: the table engine
     # and the simulator instantiate their multi-pop transitions on demand
-    # instead of materializing every goto-consistent state chain.
+    # instead of materializing every goto-consistent state chain.  The
+    # table engine indexes them by the goto arc they pop on its first run.
     reductions: tuple = ()
     automaton: Any = field(default=None, compare=False)
-    # (lower, upper) goto arc -> the (reduction, k) it can be k-th cell of.
-    reduction_index: dict = field(default_factory=dict, compare=False)
     # Grammar this machine was compiled from, when there is one.  Needed to
     # turn charts back into grammar trees.
     grammar: Any = field(default=None, compare=False)
@@ -109,7 +108,8 @@ class Pda:
     # "lr-binarized") or "pda" for hand-built ones.  Chart-to-tree editing
     # dispatches on it.
     kind: str = "pda"
-    # The table engine's transition indexes, built on the first run.
+    # The table engine's transition and reduction indexes, built on the
+    # first run.
     _triggers: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
+from tabparse import engine
 from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import (
     BOTTOM,
@@ -23,7 +24,7 @@ from tabparse.grammar import (
     is_cnf,
     parse_grammar,
 )
-from tabparse.lr import binarize_reductions, compile_lr
+from tabparse.lr import binarize_reductions, compile_lr, index_reductions
 from tabparse.oracle import recognizes
 from tabparse.pda import Pda, Transition, simulate
 from tabparse.strategies import compile_bottomup, compile_topdown
@@ -509,11 +510,67 @@ def test_chart_entries_are_plain_tuples(branching_pda, expr_grammar, sps_grammar
     assert assert_plain_entries(earley, EarleyItem) == {"init", "predict", "scan", "complete"}
 
 
-def test_trigger_tables_built_once_per_machine(expr_grammar):
-    p = compile_topdown(augment_start(expr_grammar))
-    first = run_tabular(p, "a + a".split())
-    tables = p._triggers
-    assert tables is not None
-    again = run_tabular(p, "a + a".split())
-    assert p._triggers is tables
-    assert again.justifications == first.justifications
+def test_trigger_tables_built_once_per_machine(expr_grammar, monkeypatch):
+    # The LR machine's reduction index is built with the other tables.
+    indexed = []
+    monkeypatch.setattr(
+        engine, "index_reductions", lambda *args: indexed.append(args) or index_reductions(*args)
+    )
+    expr = augment_start(expr_grammar)
+    for p in (compile_topdown(expr), compile_lr(expr)):
+        indexed.clear()
+        first = run_tabular(p, "a + a".split())
+        tables = p._triggers
+        assert tables is not None
+        again = run_tabular(p, "a + a".split())
+        assert p._triggers is tables
+        assert again.justifications == first.justifications
+        assert recognized(again)
+        assert indexed == [(p.automaton, p.reductions)]
+
+
+def test_equal_machines_get_equal_charts(expr_grammar):
+    # A machine rebuilt from a compiled one's fields compares equal to it,
+    # so it must get the same chart and agree with the simulator.
+    p = compile_lr(augment_start(expr_grammar))
+    q = Pda(
+        p.input_alphabet,
+        p.stack_symbols,
+        p.initial,
+        p.final,
+        p.transitions,
+        reductions=p.reductions,
+        automaton=p.automaton,
+        grammar=p.grammar,
+        kind=p.kind,
+    )
+    assert p == q
+    for text in ("a", "a + a", "a + a * a", "a +", "+ a"):
+        toks = text.split()
+        c = run_tabular(q, toks)
+        assert list(c.justifications.items()) == list(run_tabular(p, toks).justifications.items())
+        assert recognized(c) == (simulate(q, toks).verdict == "yes")
+
+
+def test_mixed_families_fire_in_order():
+    # All five push and swap families fire from the axiom on input "a",
+    # declared in reverse; within a popped item they fire F1, F6, F4, F2, F5.
+    transitions = (
+        T(("s",), (), ("v",)),  # F5
+        T(("s",), ("a",), ("w",)),  # F2
+        T(("s",), (), ("s", "z")),  # F4
+        T((), ("a",), ("y",)),  # F6
+        T(("s",), ("a",), ("s", "x")),  # F1
+    )
+    p = Pda(frozenset("a"), frozenset("svwxyzf"), "s", "f", transitions)
+    c = run_tabular(p, ["a"])
+    assert list(c.items)[:6] == [
+        (BOTTOM, 0, "s", 0),
+        ("s", 0, "x", 1),
+        ("s", 0, "y", 1),
+        ("s", 0, "z", 0),
+        (BOTTOM, 0, "w", 1),
+        (BOTTOM, 0, "v", 0),
+    ]
+    tags = [justs[0][0] for justs in list(c.justifications.values())[1:6]]
+    assert tags == ["F1", "F6", "F4", "F2", "F5"]

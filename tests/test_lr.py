@@ -13,6 +13,7 @@ from tabparse.lr import (
     closure,
     compile_lr,
     dump_automaton,
+    index_reductions,
 )
 from tabparse.pda import simulate
 from tabparse.strategies import DottedRule
@@ -212,5 +213,5 @@ def test_reduction_index_matches_brute_force(rules):
             ]
             if fits:
                 want[(q, t)] = fits
-    assert p.reduction_index == want
-    assert binarize_reductions(p).reduction_index == {}
+    assert index_reductions(auto, p.reductions) == want
+    assert binarize_reductions(p).reductions == ()
