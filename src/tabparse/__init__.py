@@ -27,7 +27,6 @@ from .engine import (
     classify_transition,
     dump_chart,
     recognized,
-    reduction_expand,
     run_tabular,
 )
 from .forest import (

@@ -22,6 +22,13 @@ justifications carry no antecedents.  `fired` counts the recorded
 justifications, one per inference: repeats of a push for each further arc
 into its vertex are not made.
 
+An F7 transition pops more than two symbols, so it fires on a linked path
+of arcs that spells them out.  So do the lazy reductions of a shift-reduce
+machine, one arc per right-hand-side symbol, and its acceptance.  The
+three share one table, keyed by the popped arc, and one loop: each popped
+item looks up the path cells it can fill and walks the rest of each path
+from there (`_chains`).
+
 Chart format: the saturation loop stores plain tuples and reads them by
 position, so no constructor runs per inference.  An item is the tuple
 (lower, lower_pos, upper, upper_pos) and a justification the tuple (tag,
@@ -35,7 +42,7 @@ through the views.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple
 
 from .lr import index_reductions
 from .pda import Marker, Pda, Transition, render_symbol
@@ -173,7 +180,8 @@ def _chains(c: Chart, item: tuple, uppers, lowers) -> list[tuple]:
     ending at each of `uppers` in turn, then backward by one arc starting at
     each of `lowers` in turn.  A None entry accepts any symbol.  A path that
     holds `item` again further back is left to the walk from that position,
-    so each path is found once."""
+    so each path is found once.  The multi-pop entries of `_trigger_tables`
+    spell out the two walks for each cell their popped arc can fill."""
     chains = [(item,)]
     by_lower_at, by_upper_at = c.by_lower_at, c.by_upper_at
     for want in uppers:
@@ -193,54 +201,6 @@ def _chains(c: Chart, item: tuple, uppers, lowers) -> list[tuple]:
     return chains
 
 
-def _literal_chains(c: Chart, item: tuple, t: Transition):
-    """Antecedent tuples of a multi-pop transition that involve `item`.
-
-    The popped symbols q0..qm must appear as a linked path of table arcs;
-    when the transition pushes a single symbol the consequent also needs the
-    arc below q0, whose lower end it inherits.
-    """
-    pop = t.pop
-    lo = 0 if len(t.push) == 1 else 1
-    for k in range(lo, len(pop)):
-        if item[2] == pop[k] and (k == 0 or item[0] == pop[k - 1]):
-            lowers = [pop[k2 - 1] if k2 else None for k2 in range(k - 1, lo - 1, -1)]
-            yield from _chains(c, item, pop[k + 1 :], lowers)
-
-
-def reduction_expand(c: Chart, item: tuple, red, k: int) -> list[tuple[tuple, tuple]]:
-    """Inferences of lazy reduction `red` that pop `item` as its k-th cell.
-
-    The engine indexes the machine's `reductions` by the goto arc they pop
-    (`_trigger_tables`): `item` is a goto edge over the k-th right-hand-side
-    symbol, into the reduction's state if k is the last cell.  The rest of
-    the path is found by walking arc linkage.  A path into that state needs
-    no goto check: an arc into a state whose dot follows the i-th symbol is
-    a goto edge on it.
-    """
-    auto = c.pda.automaton
-    lhs = red.rule.lhs
-    m = len(red.rule.rhs)
-    uppers = (None,) * (m - k - 1) + (red.state,) if k < m else ()
-    out: list[tuple[tuple, tuple]] = []
-    for chain in _chains(c, item, uppers, (None,) * (k - 1)):
-        q0, start_pos = chain[0][:2]
-        end_pos = chain[-1][3]
-        target = auto.goto_state(q0, lhs)
-        if target is not None:
-            out.append(((q0, start_pos, target, end_pos), ("reduce", chain, red)))
-        if q0 == c.pda.initial and lhs == c.pda.grammar.start:
-            for below in c.by_upper_at.get((q0, start_pos), ()):
-                if below[0] == BOTTOM:
-                    out.append(
-                        (
-                            (BOTTOM, below[1], c.pda.final, end_pos),
-                            ("accept", (below,) + chain, red),
-                        )
-                    )
-    return out
-
-
 def _trigger_tables(p: Pda) -> tuple:
     """The engine's indexes, built from the machine alone, once per machine
     and kept on it.
@@ -252,7 +212,20 @@ def _trigger_tables(p: Pda) -> tuple:
     upper symbol.  `swaps` maps an upper symbol to the F2 then F5 entries
     (kept lower or None, token or None, replacement, step, tag, transition)
     that replace it; a swap that keeps the symbol below the top names it as
-    a filter.  Lazy reductions are indexed by the goto arc they pop."""
+    a filter.
+
+    `pops` is the multi-pop table: literal F7 transitions, then the lazy
+    reductions and acceptance of a shift-reduce machine, all of which fire
+    on a linked path of arcs.  It maps a popped arc (lower, upper) to one
+    entry (uppers, lowers, tag, via, top) per path cell that arc can fill.
+    `_chains` walks `uppers` and `lowers` from the arc; the consequent runs
+    from the path's first lower vertex to its last upper position and
+    pushes `top`, or for a reduction the goto of that lower symbol on `top`,
+    its left-hand side.  The first cell of a single-push F7 path may have
+    any lower symbol, so its entry is keyed under every one.  A reduction's
+    entries follow `lr.index_reductions`; a start rule's are each followed
+    by an acceptance entry, whose path starts at the initial state and then
+    takes one more step down, onto BOTTOM."""
     if p._triggers is not None:
         return p._triggers
     f1, f2, f4, f5 = (defaultdict(list) for _ in range(4))  # upper -> entries
@@ -260,7 +233,7 @@ def _trigger_tables(p: Pda) -> tuple:
     f6 = []
     f3 = defaultdict(list)  # popped pair -> (pushed, t), both slots below
     f3_first = defaultdict(list)  # q1 -> (q2, pushed, t)
-    f7 = []  # literal multi-pop transitions
+    pops = defaultdict(list)  # popped arc -> multi-pop entries
     for t in dict.fromkeys(p.transitions):
         shape = classify_transition(t)
         a, step = (t.read[0], 1) if t.read else (None, 0)
@@ -275,11 +248,25 @@ def _trigger_tables(p: Pda) -> tuple:
         elif shape == "F6":
             f6.append((a, t.push[0], step, ("F6", (), t)))
         else:
-            f7.append(t)
+            # A two-push F7 keeps pop[0] as the lower end of its first cell.
+            pop, lo = t.pop, len(t.push) - 1
+            for k in range(lo, len(pop)):
+                lowers = tuple(pop[i - 1] if i else None for i in range(k - 1, lo - 1, -1))
+                entry = (pop[k + 1 :], lowers, "F7", t, t.push[-1])
+                for low in (pop[k - 1],) if k else p.stack_symbols | {BOTTOM}:
+                    pops[(low, pop[k])].append(entry)
+    for arc, cells in index_reductions(p.automaton, p.reductions).items():
+        for red, k in cells:
+            m, lhs = len(red.rule.rhs), red.rule.lhs
+            uppers = (None,) * (m - k - 1) + (red.state,) if k < m else ()
+            lowers = (None,) * (k - 1)
+            pops[arc].append((uppers, lowers, "reduce", red, lhs))
+            if lhs == p.grammar.start and (k > 1 or arc[0] == p.initial):
+                down = (None,) * (k - 2) + (p.initial, BOTTOM) if k > 1 else (BOTTOM,)
+                pops[arc].append((uppers, down, "accept", red, p.final))
     pushes = {up: f1[up] + f6 + f4[up] for up in {**f1, **f4}}
     swaps = {up: f2[up] + f5[up] for up in {**f2, **f5}}
-    reductions = index_reductions(p.automaton, p.reductions)
-    tables = (pushes, f6, swaps, f3, f3_first, f7, reductions)
+    tables = (pushes, f6, swaps, f3, f3_first, dict(pops))
     object.__setattr__(p, "_triggers", tables)
     return tables
 
@@ -290,7 +277,8 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     c = Chart(p, tokens, agenda_order)
     tokens = c.tokens
     n = len(tokens)
-    pushes, f6, swaps, f3, f3_first, f7, reductions = _trigger_tables(p)
+    pushes, f6, swaps, f3, f3_first, pops = _trigger_tables(p)
+    goto = p.automaton.goto_state if p.automaton is not None else None
 
     justifications, push = c.justifications, c.agenda.append
     by_upper_at, by_lower_at = c.by_upper_at, c.by_lower_at
@@ -344,28 +332,21 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
                         justifications[new] = [just]
                         push(new)
 
-        for t in f7:
-            for chain in _literal_chains(c, item, t):
-                if len(t.push) == 1:
-                    new = (chain[0][0], chain[0][1], t.push[0], chain[-1][3])
-                else:
-                    new = (t.pop[0], chain[0][1], t.push[1], chain[-1][3])
-                just = ("F7", chain, t)
-                if new in justifications:
-                    justifications[new].append(just)
-                else:
-                    justifications[new] = [just]
-                    push(new)
-
-        # No lazy reductions: skip building and looking up the (low, up) key.
-        if reductions:
-            for red, k in reductions.get((low, up), ()):
-                for new, just in reduction_expand(c, item, red, k):
-                    if new in justifications:
-                        justifications[new].append(just)
-                    else:
-                        justifications[new] = [just]
-                        push(new)
+        # Multi-pop: F7, reductions and acceptance, on each path through
+        # `item` in each cell it can fill.  A machine with none of them
+        # skips building the (low, up) key.
+        if pops:
+            for uppers, lowers, tag, via, top in pops.get((low, up), ()):
+                for chain in _chains(c, item, uppers, lowers):
+                    first = chain[0]
+                    pushed = goto(first[0], top) if tag == "reduce" else top
+                    if pushed is not None:
+                        new, just = (first[0], first[1], pushed, chain[-1][3]), (tag, chain, via)
+                        if new in justifications:
+                            justifications[new].append(just)
+                        else:
+                            justifications[new] = [just]
+                            push(new)
 
     return c
 

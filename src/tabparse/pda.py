@@ -93,8 +93,9 @@ class Pda:
     transitions: tuple[Transition, ...]
     # Lazily expanded reductions for shift-reduce automata: the table engine
     # and the simulator instantiate their multi-pop transitions on demand
-    # instead of materializing every goto-consistent state chain.  The
-    # table engine indexes them by the goto arc they pop on its first run.
+    # instead of materializing every goto-consistent state chain.  On its
+    # first run the table engine enters them, and acceptance, in its
+    # multi-pop table by the goto arc they pop, next to the F7 transitions.
     reductions: tuple = ()
     automaton: Any = field(default=None, compare=False)
     # Grammar this machine was compiled from, when there is one.  Needed to

@@ -453,6 +453,36 @@ def test_edge_machines_fire_once(name):
     replay_justifications(c)
 
 
+def test_multipop_first_cell_any_lower():
+    # The first cell of a single-push F7 path may have any lower symbol.
+    # Arc (t, 0, x, 1) is a second arc into vertex (x, 1), under the cells
+    # popping y and z; it comes through two F5 swaps, so under fifo it is
+    # popped after both cells, and only its own walk forward finds them.
+    p = Pda(
+        frozenset("abc"),
+        frozenset("stuvwxyzf"),
+        "s",
+        "f",
+        (
+            T(("s",), ("a",), ("s", "x")),
+            T(("s",), (), ("s", "t")),
+            T(("t",), ("a",), ("t", "u")),
+            T(("u",), (), ("v",)),
+            T(("v",), (), ("x",)),
+            T(("x",), ("b",), ("x", "y")),
+            T(("y",), ("c",), ("y", "z")),
+            T(("x", "y", "z"), (), ("w",)),
+            T(("s", "w"), (), ("f",)),
+        ),
+    )
+    charts = [run_tabular(p, list("abc"), agenda_order=order) for order in ("lifo", "fifo")]
+    c = assert_fires_once(lambda order: charts[order == "fifo"])
+    for chart in charts:
+        assert Item("t", 0, "w", 3) in chart.items
+        assert recognized(chart) == (simulate(p, list("abc")).verdict == "yes")
+    replay_justifications(c)
+
+
 @given(RANDOM_GRAMMARS, st.lists(st.sampled_from("ab"), max_size=4))
 def test_inferences_fire_once(rules, tokens):
     g = Grammar(tuple(rules), rules[0].lhs)

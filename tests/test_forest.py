@@ -9,7 +9,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
@@ -402,15 +402,40 @@ def test_chart_forest_reduces_like_copy_built_by_hand(rules, tokens):
         assert _walk_of(again) == _walk_of(reduced)
 
 
-@given(RANDOM_GRAMMARS, st.lists(st.sampled_from("ab"), max_size=4))
-@example([Rule("S", ("S", "S")), Rule("S", ("a",))], list("aaaa"))  # 5 trees
-@example([Rule("S", ("A", "A")), Rule("A", ("a",)), Rule("A", ())], ["a"])  # 2 trees
-@example([Rule("S", ("S",)), Rule("S", ("a",))], ["a"])  # infinitely many
-def test_chart_forests_hold_the_oracle_trees(rules, tokens):
+@st.composite
+def _derived(draw, rules):
+    """A sentence of the grammar: up to eight leftmost expansions from the
+    start symbol, kept if they leave at most four terminals."""
+    heads = {rule.lhs for rule in rules}
+    form = [rules[0].lhs]
+    for _ in range(8):
+        at = next((i for i, sym in enumerate(form) if sym in heads), None)
+        if at is None:
+            break
+        form[at : at + 1] = draw(st.sampled_from([r for r in rules if r.lhs == form[at]])).rhs
+    assume(len(form) <= 4 and heads.isdisjoint(form))
+    return form
+
+
+# Drawn strings are mostly rejected; derived ones are accepted, so their
+# forests hold trees, the glr reductions and acceptance among them.
+_GRAMMAR_INPUTS = RANDOM_GRAMMARS.flatmap(
+    lambda rules: st.tuples(
+        st.just(rules), st.one_of(_derived(rules), st.lists(st.sampled_from("ab"), max_size=4))
+    )
+)
+
+
+@given(_GRAMMAR_INPUTS)
+@example(([Rule("S", ("S", "S")), Rule("S", ("a",))], list("aaaa")))  # 5 trees
+@example(([Rule("S", ("A", "A")), Rule("A", ("a",)), Rule("A", ())], ["a"]))  # 2 trees
+@example(([Rule("S", ("S",)), Rule("S", ("a",))], ["a"]))  # infinitely many
+def test_chart_forests_hold_the_oracle_trees(case):
     # Differential property: every algorithm's forest counts the same trees,
     # and a finite count is the oracle's, tree for tree.  An infinite count
     # is checked for agreement only; no trees are extracted from it, as the
     # oracle can list only a depth-bounded part of an infinite set.
+    rules, tokens = case
     counts, extracted = [], []
     for f in _chart_forests(rules, tokens):
         reduced = reduce_forest(f)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tabparse.engine import Item, run_tabular
 from tabparse.grammar import Grammar, GrammarError, Rule, parse_grammar
 from tabparse.lr import (
     FINAL,
@@ -215,3 +216,61 @@ def test_reduction_index_matches_brute_force(rules):
                 want[(q, t)] = fits
     assert index_reductions(auto, p.reductions) == want
     assert binarize_reductions(p).reductions == ()
+
+
+# Un-augmented, so a start rule's reduction both reduces and accepts: the
+# chart order, item by item with the tags of its justifications, as the
+# engine derived it when acceptance was a branch of the reduction step.
+SPS_GLR_CHART = """\
+( bot , 0 , q0 , 0 ) axiom
+( q0 , 0 , q2 , 1 ) F1
+( q0 , 0 , q1 , 1 ) reduce
+( bot , 0 , q_final , 1 ) accept
+( q1 , 1 , q3 , 2 ) F1
+( q3 , 2 , q2 , 3 ) F1
+( q3 , 2 , q4 , 3 ) reduce
+( q4 , 3 , q3 , 4 ) F1
+( q0 , 0 , q1 , 3 ) reduce
+( bot , 0 , q_final , 3 ) accept
+( q1 , 3 , q3 , 4 ) F1
+( q3 , 4 , q2 , 5 ) F1
+( q3 , 4 , q4 , 5 ) reduce
+( q0 , 0 , q1 , 5 ) reduce reduce
+( bot , 0 , q_final , 5 ) accept accept
+( q3 , 2 , q4 , 5 ) reduce
+"""
+
+SS_GLR_CHART = """\
+( bot , 0 , q0 , 0 ) axiom
+( q0 , 0 , q2 , 1 ) F1
+( q0 , 0 , q1 , 1 ) reduce
+( bot , 0 , q_final , 1 ) accept
+( q1 , 1 , q2 , 2 ) F1
+( q1 , 1 , q3 , 2 ) reduce
+( q3 , 2 , q2 , 3 ) F1
+( q0 , 0 , q1 , 2 ) reduce
+( bot , 0 , q_final , 2 ) accept
+( q1 , 2 , q2 , 3 ) F1
+( q1 , 2 , q3 , 3 ) reduce
+( q0 , 0 , q1 , 3 ) reduce reduce
+( bot , 0 , q_final , 3 ) accept accept
+( q3 , 2 , q3 , 3 ) reduce
+( q1 , 1 , q3 , 3 ) reduce
+"""
+
+
+@pytest.mark.parametrize(
+    "text, tokens, want",
+    [
+        ("S -> S + S\nS -> a\n", "a + a + a", SPS_GLR_CHART),
+        ("S -> S S\nS -> a\n", "a a a", SS_GLR_CHART),
+    ],
+    ids=["sps", "ss"],
+)
+def test_glr_chart_order_where_start_rule_reduces_and_accepts(text, tokens, want):
+    c = run_tabular(compile_lr(parse_grammar(text)), tokens.split())
+    got = "".join(
+        f"{Item._make(item)} {' '.join(tag for tag, _, _ in justs)}\n"
+        for item, justs in c.justifications.items()
+    )
+    assert got == want
