@@ -47,7 +47,6 @@ from .grammar import (
     Grammar,
     GrammarError,
     Rule,
-    Symbol,
     augment_start,
     format_grammar,
     fresh_symbol,
@@ -66,7 +65,6 @@ from .lr import (
     closure,
     compile_lr,
     dump_automaton,
-    goto,
 )
 from .oracle import derivable, enumerate_trees, recognizes
 from .pda import (

@@ -113,10 +113,14 @@ def main(argv=None) -> int:
         )
 
     try:
-        with open(args.grammar, encoding="utf-8") as handle:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # become part of the first left-hand side.
+        with open(args.grammar, encoding="utf-8-sig") as handle:
             grammar = parse_grammar(handle.read())
     except OSError as err:
         return _usage_error(f"cannot read {args.grammar}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        return _usage_error(f"cannot read {args.grammar}: not UTF-8 at byte {err.start}")
     except GrammarError as err:
         return _usage_error(f"bad grammar: {err}")
 

@@ -38,13 +38,6 @@ class Rule(NamedTuple):
         return f"{self.lhs} {ARROW} {' '.join(self.rhs)}".rstrip()
 
 
-class Symbol(NamedTuple):
-    """A grammar symbol together with its classification."""
-
-    id: str
-    kind: str  # "terminal" | "nonterminal"
-
-
 @dataclass(frozen=True)
 class Grammar:
     """An immutable CFG.  Rule order is significant and preserved."""
@@ -76,13 +69,6 @@ class Grammar:
         nts = self.nonterminals
         return frozenset(
             sym for r in self.rules for sym in r.rhs if sym not in nts
-        )
-
-    @property
-    def symbols(self) -> frozenset[Symbol]:
-        return frozenset(
-            {Symbol(s, "nonterminal") for s in self.nonterminals}
-            | {Symbol(s, "terminal") for s in self.terminals}
         )
 
     @cached_property

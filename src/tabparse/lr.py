@@ -1,14 +1,17 @@
 """Shift-reduce automata and their stack machines.
 
-States are sets of dotted rules.  The compiled machine keeps one state per
-stack cell; shifting reads a token and pushes the successor state, and a
-reduction pops one cell per right-hand-side symbol before pushing the goto
-of the uncovered state.  Reductions pop unboundedly many cells, so they are
-kept as lazy descriptors (state, rule) and instantiated against a concrete
-stack or table on demand.  The table engine indexes them by the goto arc
-they pop (`index_reductions`), so it looks up the reductions an arc can take
-part in rather than trying every one.  `binarize_reductions` rewrites them
-into bounded transitions for engines that want none of that laziness.
+States are sets of dotted rules, and the automaton is one goto map from
+(state, symbol) to state, built one state at a time; the shifts, the
+reduction index, the binarizer and the engine's gotos all read that map.
+The compiled machine keeps one state per stack cell; shifting reads a token
+and pushes the successor state, and a reduction pops one cell per
+right-hand-side symbol before pushing the goto of the uncovered state.
+Reductions pop unboundedly many cells, so they are kept as lazy descriptors
+(state, rule) and instantiated against a concrete stack or table on demand.
+The table engine indexes them by the goto arc they pop (`index_reductions`),
+so it looks up the reductions an arc can take part in rather than trying
+every one.  `binarize_reductions` rewrites them into bounded transitions for
+engines that want none of that laziness.
 """
 
 from __future__ import annotations
@@ -38,19 +41,18 @@ class LrAutomaton:
     def __init__(self, grammar: Grammar, states, goto_map):
         self.grammar = grammar
         self.states: tuple[LrState, ...] = tuple(states)
-        # (state id, symbol) -> state id
-        self.goto_map: dict[tuple[int, str], int] = dict(goto_map)
-        # (state id, symbol) -> states whose goto on symbol is that state
-        self.sources: dict[tuple[int, str], list[LrState]] = defaultdict(list)
+        # (state, symbol) -> successor state, in construction order: states
+        # by id, then symbols in first-occurrence order.
+        self.goto_map: dict[tuple[LrState, str], LrState] = dict(goto_map)
+        # (state, symbol) -> states whose goto on symbol is that state
+        self.sources: dict[tuple[LrState, str], list[LrState]] = defaultdict(list)
         for (source, sym), target in self.goto_map.items():
-            self.sources[(target, sym)].append(self.states[source])
+            self.sources[(target, sym)].append(source)
 
     def goto_state(self, state, symbol) -> Optional[LrState]:
-        """Successor state, or None when undefined or `state` is no state."""
-        if not isinstance(state, LrState):
-            return None
-        target = self.goto_map.get((state.id, symbol))
-        return None if target is None else self.states[target]
+        """Successor state, or None when undefined; stack symbols that are
+        no state (markers, aux cells) have no successors."""
+        return self.goto_map.get((state, symbol))
 
 
 class Reduction(NamedTuple):
@@ -90,13 +92,6 @@ def closure(g: Grammar, items: frozenset[DottedRule]) -> frozenset[DottedRule]:
     return frozenset(out)
 
 
-def goto(g: Grammar, items: frozenset[DottedRule], symbol: str) -> frozenset[DottedRule]:
-    kernel = {d.advance() for d in items if d.goal == symbol}
-    if not kernel:
-        return frozenset()
-    return closure(g, frozenset(kernel))
-
-
 def _symbol_order(g: Grammar) -> list[str]:
     seen: dict[str, None] = {}
     for rule in g.rules:
@@ -107,27 +102,28 @@ def _symbol_order(g: Grammar) -> list[str]:
 
 def build_lr_automaton(g: Grammar) -> LrAutomaton:
     """Deterministic construction: breadth-first from the start closure,
-    state ids by discovery, symbols tried in first-occurrence order."""
+    state ids by discovery.  One pass over a state's items groups the
+    advanced items by the symbol after the dot; the groups are closed in
+    first-occurrence symbol order, so no empty kernel is ever closed."""
     if has_epsilon_rules(g):
         raise GrammarError("shift-reduce compilation does not support empty rules")
-    order = _symbol_order(g)
+    rank = {sym: i for i, sym in enumerate(_symbol_order(g))}
     init = closure(g, frozenset(DottedRule(r, 0) for r in g.start_rules()))
-    ids: dict[frozenset[DottedRule], int] = {init: 0}
     states = [LrState(0, init)]
-    goto_map: dict[tuple[int, str], int] = {}
-    queue = [states[0]]
-    while queue:
-        state = queue.pop(0)
-        for sym in order:
-            target = goto(g, state.items, sym)
-            if not target:
-                continue
-            if target not in ids:
-                ids[target] = len(states)
-                fresh = LrState(len(states), target)
-                states.append(fresh)
-                queue.append(fresh)
-            goto_map[(state.id, sym)] = ids[target]
+    by_items = {init: states[0]}
+    goto_map: dict[tuple[LrState, str], LrState] = {}
+    for state in states:  # grows while walked: the breadth-first queue
+        kernels: dict[str, set[DottedRule]] = defaultdict(set)
+        for d in state.items:
+            if d.goal is not None:
+                kernels[d.goal].add(d.advance())
+        for sym in sorted(kernels, key=rank.__getitem__):
+            items = closure(g, frozenset(kernels[sym]))
+            target = by_items.get(items)
+            if target is None:
+                target = by_items[items] = LrState(len(states), items)
+                states.append(target)
+            goto_map[(state, sym)] = target
     return LrAutomaton(g, states, goto_map)
 
 
@@ -138,7 +134,7 @@ def chain_states(auto: LrAutomaton, red: Reduction) -> list[set[LrState]]:
     possible = [{red.state}]
     for sym in reversed(red.rule.rhs):
         possible.append(
-            {q for t in possible[-1] for q in auto.sources.get((t.id, sym), ())}
+            {q for t in possible[-1] for q in auto.sources.get((t, sym), ())}
         )
     return possible[::-1]
 
@@ -154,7 +150,7 @@ def index_reductions(auto: LrAutomaton, reductions) -> dict:
         possible = chain_states(auto, red)
         for k, sym in enumerate(red.rule.rhs, 1):
             for upper in possible[k]:
-                for lower in auto.sources.get((upper.id, sym), ()):
+                for lower in auto.sources.get((upper, sym), ()):
                     index[(lower, upper)].append((red, k))
     return dict(index)
 
@@ -162,15 +158,11 @@ def index_reductions(auto: LrAutomaton, reductions) -> dict:
 def compile_lr(g: Grammar) -> Pda:
     auto = build_lr_automaton(g)
     terminals = g.terminals
-    order = _symbol_order(g)
-    transitions = []
-    for state in auto.states:
-        for sym in order:
-            if sym not in terminals:
-                continue
-            target = auto.goto_state(state, sym)
-            if target is not None:
-                transitions.append(Transition((state,), (sym,), (state, target)))
+    transitions = [
+        Transition((state,), (sym,), (state, target))
+        for (state, sym), target in auto.goto_map.items()
+        if sym in terminals
+    ]
     reductions = []
     for state in auto.states:
         for rule in g.rules:
@@ -258,10 +250,6 @@ def dump_automaton(auto: LrAutomaton) -> str:
         lines.append(f"state {state.id}:")
         for d in sorted(state.items, key=lambda d: (rule_pos[d.rule], d.dot)):
             lines.append(f"  {d}")
-    order = _symbol_order(g)
-    for state in auto.states:
-        for sym in order:
-            target = auto.goto_map.get((state.id, sym))
-            if target is not None:
-                lines.append(f"goto({state.id}, {sym}) = {target}")
+    for (state, sym), target in auto.goto_map.items():
+        lines.append(f"goto({state.id}, {sym}) = {target.id}")
     return "\n".join(lines)

@@ -357,6 +357,22 @@ def test_missing_grammar_file(run, tmp_path):
     assert "cannot read" in err
 
 
+def test_grammar_file_with_byte_order_mark(run, tmp_path):
+    # The mark is no part of the first left-hand side: S stays the start.
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfS -> a S\nS -> b\n")
+    code, out, err = run("--grammar", str(path), "--input", "a a b", "--oracle")
+    assert (code, out, err) == (0, "RECOGNIZED\noracle: agree\n", "")
+
+
+def test_grammar_file_not_utf8(run, tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("S -> \xe9\n".encode("latin-1"))
+    code, out, err = run("--grammar", str(path), "--input", "a")
+    assert (code, out) == (2, "")
+    assert f"cannot read {path}: not UTF-8 at byte 5" in err
+
+
 def test_algorithm_grammar_mismatch(run, grammars):
     # expression grammar is not in Chomsky normal form
     code, _, err = run(

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tabparse.engine import Item, run_tabular
-from tabparse.grammar import Grammar, GrammarError, Rule, parse_grammar
+from tabparse.engine import BOTTOM, Item, run_tabular
+from tabparse.grammar import Grammar, GrammarError, Rule, augment_start, parse_grammar
 from tabparse.lr import (
     FINAL,
     AuxSymbol,
@@ -51,7 +51,7 @@ def test_automaton_structure(sps_grammar):
         },
         {dr(g, "S", ("S", "+", "S"), 3), dr(g, "S", ("S", "+", "S"), 1)},
     ]
-    assert auto.goto_map == {
+    assert {(q.id, x): t.id for (q, x), t in auto.goto_map.items()} == {
         (0, "S"): 1,
         (0, "a"): 2,
         (1, "+"): 3,
@@ -67,6 +67,10 @@ def test_goto_state_guards(sps_grammar):
     assert auto.goto_state(auto.states[0], "+") is None
     # non-state stack symbols (bottom marker, aux cells) have no successors
     assert auto.goto_state(FINAL, "S") is None
+    assert auto.goto_state(BOTTOM, "S") is None
+    p = binarize_reductions(compile_lr(sps_grammar))
+    aux = next(s for s in p.stack_symbols if isinstance(s, AuxSymbol))
+    assert p.automaton.goto_state(aux, "S") is None
 
 
 def test_rejects_epsilon_rules():
@@ -216,6 +220,42 @@ def test_reduction_index_matches_brute_force(rules):
                 want[(q, t)] = fits
     assert index_reductions(auto, p.reductions) == want
     assert binarize_reductions(p).reductions == ()
+
+
+def _reference_automaton(g):
+    """The breadth-first construction that closes the kernel of every
+    (state, symbol) pair, symbols in first-occurrence order: item sets in
+    id order and goto pairs read by id."""
+    order = list(dict.fromkeys(s for r in g.rules for s in (r.lhs, *r.rhs)))
+    init = closure(g, frozenset(DottedRule(r, 0) for r in g.start_rules()))
+    ids = {init: 0}
+    states = [init]
+    goto = {}
+    queue = [init]
+    while queue:
+        items = queue.pop(0)
+        for sym in order:
+            kernel = {d.advance() for d in items if d.goal == sym}
+            if not kernel:
+                continue
+            target = closure(g, frozenset(kernel))
+            if target not in ids:
+                ids[target] = len(states)
+                states.append(target)
+                queue.append(target)
+            goto[(ids[items], sym)] = ids[target]
+    return states, goto
+
+
+@given(_RULES)
+def test_automaton_matches_reference_construction(rules):
+    g = augment_start(Grammar(tuple(rules), rules[0].lhs))
+    auto = build_lr_automaton(g)
+    states, goto = _reference_automaton(g)
+    assert [s.items for s in auto.states] == states
+    assert [s.id for s in auto.states] == list(range(len(states)))
+    # in order too: compile_lr and dump_automaton list the map as it stands
+    assert [((q.id, x), t.id) for (q, x), t in auto.goto_map.items()] == list(goto.items())
 
 
 # Un-augmented, so a start rule's reduction both reduces and accepts: the
