@@ -107,10 +107,6 @@ def main(argv=None) -> int:
     wants_forest = args.forest is not None or args.count or args.trees is not None
     if wants_forest and alg == "naive":
         return _usage_error("naive simulation builds no forest")
-    if wants_forest and alg == "glr-binarized":
-        return _usage_error(
-            "forests come from lazy reductions; use --algorithm glr"
-        )
 
     try:
         # utf-8-sig drops a leading byte-order mark, which would otherwise

@@ -1,10 +1,12 @@
 """Parse forests: all trees of an ambiguous parse in one shared grammar.
 
 A forest is itself a context-free grammar whose nonterminals are chart
-entries and whose terminals are the input tokens.  Matrix charts yield
-span-labelled forests directly; agenda charts yield forests over their
-items, one rule per justification, which the tree editors then reshape
-into trees of the original grammar.  Read this way a chart is a shared
+entries and whose terminals are the input tokens: over spans for matrix
+charts, over items for agenda charts, one rule per justification.  Read
+as a transducer (Lang 1974), a step that completes a grammar rule
+outputs a node of that rule, which its forest rule names
+(`ForestRule.rule`), so one fold turns a forest tree of any origin into
+a tree of the original grammar.  Read this way a chart is a shared
 forest grammar (Billot & Lang 1989) in which every nonterminal derives a
 token string: an entry's first justification uses only entries derived
 before it, and its forest body is a subset of those antecedents.  So a
@@ -17,9 +19,9 @@ children-first order and cycle flag that `reduce_forest` finds in its
 walk, and both run on explicit stacks, so trees may be of any depth.
 
 The nodes of a forest over an agenda chart are the chart's own entries,
-plain tuples (see `engine` and `earley`), and `build_forest_items` and the
-tree editors read them by position.  `dump_forest` prints them through the item view of
-the forest's origin, `EarleyItem` or `Item`.
+plain tuples (see `engine` and `earley`), which `build_forest_items` reads
+by position.  `dump_forest` prints them through the item view of the
+forest's origin, `EarleyItem` or `Item`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class SpanNode(NamedTuple):
 class ForestRule(NamedTuple):
     head: Any
     body: tuple  # chart nodes and raw token strings
-    rule: Optional[Rule] = None  # grammar rule behind this step, when needed
+    rule: Optional[Rule] = None  # the grammar rule this step completes, if any
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,11 @@ def _cky_body(span: SpanNode, just) -> tuple[tuple, Optional[Rule]]:
 def build_forest_cky(c: CkyChart) -> ParseForest:
     """Forest over the chart's spans, one rule per justification and one per
     token.  A span's rules are made when first asked for; the full rules,
-    token nodes first and then in chart order, only when read."""
-    tokens = {SpanNode(i, t, i + 1): [((t,), None)] for i, t in enumerate(c.tokens)}
+    token nodes first and then in chart order, only when read.  A token
+    spelled like a nonterminal gets no token node: that span is the
+    nonterminal's."""
+    nts = c.grammar.nonterminals
+    tokens = {SpanNode(i, t, i + 1): [((t,), None)] for i, t in enumerate(c.tokens) if t not in nts}
 
     def rules_of(span: SpanNode) -> list[ForestRule]:
         if span not in c.justifications:
@@ -113,34 +118,28 @@ def build_forest_cky(c: CkyChart) -> ParseForest:
     return _chart_forest(heads, rules_of, start, "cky", c.grammar)
 
 
-def _earley_body(just) -> tuple[tuple, None]:
-    tag, antecedents, token = just
-    if tag in ("init", "predict"):
-        return (), None
-    if tag == "scan":
-        return (antecedents[0], token), None
-    return antecedents, None
+def _earley_steps(c, item, justs) -> list[tuple[tuple, Optional[Rule]]]:
+    """The (body, grammar rule) of each justification: its antecedents and
+    the token it scanned; all of a complete item's complete its rule."""
+    dotted = item[1]
+    rule = dotted.rule if dotted.is_complete else None
+    return [(ante if token is None else ante + (token,), rule) for _, ante, token in justs]
 
 
-def _engine_body(just) -> tuple[tuple, Optional[Rule]]:
-    tag, antecedents, via = just
-    if tag in ("axiom", "F4"):
-        return (), None
-    if tag in ("F1", "F6"):
-        return (via.read[0],), None
-    if tag == "F2":
-        return (antecedents[0], via.read[0]), None
-    if tag in ("F3", "F5"):
-        return antecedents, None
-    if tag == "F7":
-        if len(via.push) == 1:
-            return antecedents[1:], None
-        return antecedents, None
-    if tag == "reduce":
-        return antecedents, via.rule
-    if tag == "accept":
-        return antecedents[1:], via.rule
-    raise ForestError(f"unknown justification {tag}")
+def _engine_steps(c, item, justs) -> list[tuple[tuple, Optional[Rule]]]:
+    """The (body, grammar rule) of each justification: its antecedents and
+    the token it read, less the first cell of the path for an acceptance or
+    an F7 step that keeps nothing below; the rule is the one the machine's
+    `completes` gives the step."""
+    completes = c.pda.completes
+    steps = []
+    for tag, ante, via in justs:
+        if tag == "accept" or tag == "F7" and len(via.push) == 1:
+            ante = ante[1:]
+        elif tag in ("F1", "F2", "F6"):
+            ante += via.read
+        steps.append((ante, completes.get(via)))
+    return steps
 
 
 def build_forest_items(c) -> ParseForest:
@@ -148,13 +147,13 @@ def build_forest_items(c) -> ParseForest:
     on demand; the full rules come in the order items were first derived.
     Its nodes, the start node too, are the chart's plain tuples."""
     if isinstance(c, EarleyChart):
-        body_of, start, origin, grammar = _earley_body, c.final_item(), "earley", c.grammar
+        steps, start, origin, grammar = _earley_steps, c.final_item(), "earley", c.grammar
     elif isinstance(c, Chart):
-        body_of, start, origin, grammar = _engine_body, c.accept_item(), c.pda.kind, c.pda.grammar
+        steps, start, origin, grammar = _engine_steps, c.accept_item(), c.pda.kind, c.pda.grammar
     else:
         raise ForestError(f"cannot build a forest from {type(c).__name__}")
     justs = c.justifications
-    rules_of = lambda item: _rules(item, [body_of(j) for j in justs.get(item, ())])
+    rules_of = lambda item: _rules(item, steps(c, item, justs.get(item, ())))
     return _chart_forest(justs.keys, rules_of, tuple(start), origin, grammar)
 
 
@@ -358,51 +357,30 @@ def extract_trees(f: ParseForest, k: int) -> list[ParseTree]:
 
 
 def _edit(f: ParseForest, trail: list[ForestRule]) -> ParseTree:
-    """Fold a forest tree, given as its rules in preorder, children first:
-    each rule's step gets the edited trees of its body, tokens as is."""
-    step = _EDITORS.get(f.origin)
-    if step is None:
-        raise ForestError(f"no tree editor for {f.origin!r} charts")
+    """Fold a forest tree, given as its rules in preorder, children first,
+    into the list of grammar trees each node yields: a token yields its
+    leaf, and a step the trees of its body in order, as one node of the
+    rule it completes or, when it completes none, as they are.  So spines
+    (partial dotted items, aux cells, the axiom) splice their trees into
+    the node above.  The start node yields one tree, unless no step names
+    a rule (a machine built by hand), which raises ForestError."""
     done: list = []
     for r in reversed(trail):
-        done.append(step(r, [b if isinstance(b, str) else done.pop() for b in r.body]))
-    (tree,) = done
+        kids: list = []
+        for b in r.body:
+            if isinstance(b, str):
+                kids.append(leaf(b))
+            else:
+                kids += done.pop()
+        done.append(kids if r.rule is None else (node(r.rule.lhs, kids),))
+    (top,) = done
+    if len(top) != 1 or top[0].is_leaf:
+        raise ForestError(f"no tree editor for {f.origin!r} charts: no rule names their steps")
+    (tree,) = top
     g = f.grammar
     if g is not None and g.augmented_from is not None and tree.label == g.start:
         (tree,) = tree.children
     return tree
-
-
-def _span(r: ForestRule, kids: list) -> ParseTree:
-    if len(kids) == 1 and isinstance(kids[0], str):
-        if r.head.symbol == kids[0]:
-            return leaf(kids[0])
-        return node(r.head.symbol, (leaf(kids[0]),))
-    return node(r.head.symbol, kids)
-
-
-def _comb(lhs: str, kids: list) -> ParseTree:
-    """A dotted item's tree so far: the left-branching spine of partial
-    items collects one subtree per consumed right-hand-side symbol."""
-    if not kids:
-        return node(lhs, ())
-    if len(kids) != 2:
-        raise ForestError(f"unexpected forest body of {len(kids)} parts")
-    spine, last = kids
-    return node(lhs, spine.children + (leaf(last) if isinstance(last, str) else last,))
-
-
-# Item heads are plain chart tuples: an Earley item's dotted rule is at
-# index 1, an engine item's upper symbol at index 2.
-_EDITORS = {
-    "cky": _span,
-    "earley": lambda r, kids: _comb(r.head[1].rule.lhs, kids),
-    "topdown": lambda r, kids: _comb(r.head[2].rule.lhs, kids),
-    "bottomup": lambda r, kids: node(
-        r.head[2], [leaf(k) if isinstance(k, str) else k for k in kids]
-    ),
-    "lr": lambda r, kids: leaf(*kids) if r.rule is None else node(r.rule.lhs, kids),
-}
 
 
 def dump_forest(f: ParseForest, eliminated=frozenset()) -> str:

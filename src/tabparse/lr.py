@@ -177,6 +177,7 @@ def compile_lr(g: Grammar) -> Pda:
         reductions=tuple(reductions),
         automaton=auto,
         grammar=g,
+        completes={red: red.rule for red in reductions},
         kind="lr",
     )
 
@@ -189,7 +190,8 @@ def binarize_reductions(p: Pda) -> Pda:
     the cells one at a time, threading an auxiliary symbol that records the
     rule and the number of cells still owed; the states that may legally
     appear at each chain position are precomputed by walking the goto map
-    backwards, so no spurious transition is ever emitted.
+    backwards, so no spurious transition is ever emitted.  Only the
+    finishing steps, the goto and the acceptance, complete the rule.
     """
     auto: LrAutomaton = p.automaton
     if auto is None or p.grammar is None:
@@ -198,8 +200,11 @@ def binarize_reductions(p: Pda) -> Pda:
     transitions = list(p.transitions)
     seen = set(transitions)
     symbols = set(p.stack_symbols)
+    completes = {}
 
-    def emit(t: Transition) -> None:
+    def emit(t: Transition, completed: Optional[Rule] = None) -> None:
+        if completed is not None:
+            completes[t] = completed
         if t not in seen:
             seen.add(t)
             transitions.append(t)
@@ -214,9 +219,9 @@ def binarize_reductions(p: Pda) -> Pda:
             for q0 in sorted(possible[0], key=lambda s: s.id):
                 target = auto.goto_state(q0, red.rule.lhs)
                 if target is not None:
-                    emit(Transition((q0, pop_top), (), (q0, target)))
+                    emit(Transition((q0, pop_top), (), (q0, target)), red.rule)
                 if q0 == p.initial and red.rule.lhs == g.start:
-                    emit(Transition((q0, pop_top), (), (p.final,)))
+                    emit(Transition((q0, pop_top), (), (p.final,)), red.rule)
 
         if m == 1:
             finishers(red.state)
@@ -238,6 +243,7 @@ def binarize_reductions(p: Pda) -> Pda:
         reductions=(),
         automaton=auto,
         grammar=g,
+        completes=completes,
         kind="lr-binarized",
     )
 

@@ -18,10 +18,11 @@ from .trees import ParseTree, leaf, node
 def derivable(g: Grammar, tokens) -> set[tuple[str, int, int]]:
     """Least fixpoint of "X derives the span".
 
-    Terminals derive exactly their own one-token spans.  A nonterminal A
-    derives (j, i) if some rule A -> X1 .. Xm admits a partition of the span
-    whose parts are derived by the Xk (the empty partition for epsilon rules,
-    so (A, i, i) whenever A -> eps).
+    Terminals derive exactly their own one-token spans; a token spelled
+    like a nonterminal is no terminal, and gives that nonterminal no span.
+    A nonterminal A derives (j, i) if some rule A -> X1 .. Xm admits a
+    partition of the span whose parts are derived by the Xk (the empty
+    partition for epsilon rules, so (A, i, i) whenever A -> eps).
     """
     tokens = tuple(tokens)
     n = len(tokens)
@@ -45,7 +46,8 @@ def derivable(g: Grammar, tokens) -> set[tuple[str, int, int]]:
         return frontier
 
     for t, a in enumerate(tokens):
-        rel.add((a, t, t + 1))
+        if a not in nts:
+            rel.add((a, t, t + 1))
 
     changed = True
     while changed:

@@ -101,13 +101,17 @@ class Pda:
     # Grammar this machine was compiled from, when there is one.  Needed to
     # turn charts back into grammar trees.
     grammar: Any = field(default=None, compare=False)
+    # The grammar rule each step completes, by what the step goes via: a
+    # transition, a lazy reduction, or None for the axiom (when the initial
+    # symbol is a complete rule).  Forests name them; other steps complete none.
+    completes: dict = field(default_factory=dict, repr=False, compare=False)
     # When set, the initial symbol is an imaginary bottom marker that no
     # transition pops, and acceptance means the stack is exactly
     # (initial, final) rather than (final,).
     bottom_marker_start: bool = False
     # Which compiler produced this machine ("topdown", "bottomup", "lr",
-    # "lr-binarized") or "pda" for hand-built ones.  Chart-to-tree editing
-    # dispatches on it.
+    # "lr-binarized") or "pda" for hand-built ones.  It labels the machine's
+    # forests (`ParseForest.origin`).
     kind: str = "pda"
     # The table engine's transition and reduction indexes, built on the
     # first run.

@@ -105,6 +105,11 @@ def compile_topdown(g: Grammar) -> Pda:
             for sub in g.rules_for(goal):
                 done = DottedRule(sub, len(sub.rhs))
                 transitions.append(Transition((d, done), (), (d.advance(),)))
+    # A step completes the rule it leaves complete on top; the axiom does
+    # when the start rule is empty.
+    completes = {t: t.push[-1].rule for t in transitions if t.push[-1].is_complete}
+    if not start_rule.rhs:
+        completes[None] = start_rule
     return Pda(
         input_alphabet=frozenset(g.terminals),
         stack_symbols=symbols,
@@ -112,6 +117,7 @@ def compile_topdown(g: Grammar) -> Pda:
         final=DottedRule(start_rule, len(start_rule.rhs)),
         transitions=tuple(transitions),
         grammar=g,
+        completes=completes,
         kind="topdown",
     )
 
@@ -128,20 +134,21 @@ def compile_bottomup(g: Grammar) -> Pda:
     if not is_cnf(g):
         raise GrammarError("data-driven compilation needs Chomsky normal form")
     bottom = Marker("bot^")
-    transitions = []
+    completes = {}  # every transition completes its rule
     for rule in g.rules:
         if len(rule.rhs) == 1:
-            transitions.append(Transition((), (rule.rhs[0],), (rule.lhs,)))
+            completes[Transition((), (rule.rhs[0],), (rule.lhs,))] = rule
     for rule in g.rules:
         if len(rule.rhs) == 2:
-            transitions.append(Transition(tuple(rule.rhs), (), (rule.lhs,)))
+            completes[Transition(tuple(rule.rhs), (), (rule.lhs,))] = rule
     return Pda(
         input_alphabet=frozenset(g.terminals),
         stack_symbols=frozenset(g.nonterminals) | {bottom},
         initial=bottom,
         final=g.start,
-        transitions=tuple(transitions),
+        transitions=tuple(completes),
         grammar=g,
+        completes=completes,
         bottom_marker_start=True,
         kind="bottomup",
     )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import shlex
 import shutil
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tabparse
 import tabparse.cli as cli
@@ -264,7 +268,7 @@ def test_forest_full_marks_eliminated(run, grammars):
 
 
 @pytest.mark.parametrize("kind", ["full", "reduced"])
-@pytest.mark.parametrize("alg", ["earley", "topdown", "glr"])
+@pytest.mark.parametrize("alg", ["earley", "topdown", "glr", "glr-binarized"])
 def test_forest_text_golden(run, alg, kind):
     # Item forests print their nodes through the chart's item views; the
     # exact text, eliminated marks included, is pinned per algorithm.
@@ -311,6 +315,110 @@ def test_oracle_agreement(run, grammars):
     assert "oracle: agree" in out.splitlines()
 
 
+def test_oracle_token_spelled_like_a_nonterminal(run, tmp_path):
+    # The token "S" is no terminal: nothing derives it, the oracle included.
+    path = tmp_path / "spelled.cfg"
+    path.write_text("S -> A b\nA -> a\n", encoding="utf-8")
+    code, out, err = run("--grammar", str(path), "--input", "S", "--oracle")
+    assert (code, out, err) == (1, "REJECTED\noracle: agree\n", "")
+
+
+def test_binarized_forest_counts_and_trees(run, grammars):
+    code, out, _ = run(
+        "--grammar",
+        grammars["sps"],
+        "--input",
+        "a + a + a",
+        "--algorithm",
+        "glr-binarized",
+        "--count",
+        "--trees",
+        "5",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["RECOGNIZED", "trees: 2"]
+    assert set(lines[2:]) == {"(S (S (S a) + (S a)) + (S a))", "(S (S a) + (S (S a) + (S a)))"}
+
+
+@st.composite
+def _fuzz_grammar_text(draw):
+    """Up to four rules over a few symbols, "->" among them, and at most one
+    malformed line: no arrow, no left-hand side, blank, or a comment."""
+    lines = draw(
+        st.lists(
+            st.builds(
+                lambda lhs, rhs: " ".join([lhs, "->", *rhs]),
+                st.sampled_from(["S", "A", "a"]),
+                st.lists(st.sampled_from(["S", "A", "a", "b", "->"]), max_size=3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    bad = draw(st.sampled_from([None, "S a", "-> a", "", "# note"]))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join(lines) + "\n"
+
+
+# Flags other than --oracle, which is drawn on its own.
+_FUZZ_FLAGS = st.lists(
+    st.sampled_from(
+        [
+            ("--chars",),
+            ("--show-pda",),
+            ("--show-lr",),
+            ("--show-table",),
+            ("--forest", "full"),
+            ("--forest", "reduced"),
+            ("--count",),
+            ("--trees", "0"),
+            ("--trees", "3"),
+            ("--dot", "DOT"),
+        ]
+    ),
+    unique=True,
+    max_size=4,
+)
+
+
+@settings(deadline=None)
+@given(
+    text=_fuzz_grammar_text(),
+    # Tokens over the terminals, the nonterminal names and one unknown symbol.
+    tokens=st.lists(st.sampled_from(["S", "A", "a", "b", "c"]), max_size=4),
+    alg=st.sampled_from([alg for alg in cli.ALGORITHMS if alg != "naive"]),
+    flags=_FUZZ_FLAGS,
+    oracle=st.booleans(),
+)
+@example(text="S -> A b\nA -> a\n", tokens=["S"], alg="earley", flags=[], oracle=True)
+@example(
+    text="S -> S a\nS -> a\n",
+    tokens=["a", "a"],
+    alg="glr-binarized",
+    flags=[("--forest", "full"), ("--count",), ("--trees", "3")],
+    oracle=True,
+)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, text, tokens, alg, flags, oracle):
+    # Any grammar text, input and flag set ends in exit 0, 1 or 2: never in
+    # an oracle disagreement (3) or an exception.  `naive` is left out: its
+    # search may take about 20 s before it reports exhausted bounds.
+    where = tmp_path_factory.getbasetemp() / "fuzz"
+    where.mkdir(exist_ok=True)
+    path = where / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    argv = ["--grammar", str(path), "--input", " ".join(tokens), "--algorithm", alg]
+    for flag in flags:
+        argv += [str(where / "chart.dot") if part == "DOT" else part for part in flag]
+    if oracle:
+        argv.append("--oracle")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, out.getvalue(), err.getvalue())
+
+
 def test_oracle_disagreement_exits_3(run, grammars, monkeypatch):
     monkeypatch.setattr(cli, "recognizes", lambda g, toks: False)
     code, out, _ = run(
@@ -331,7 +439,7 @@ def test_oracle_disagreement_exits_3(run, grammars, monkeypatch):
         (("--algorithm", "earley", "--dot", "x.dot"), "no item graph"),
         (("--algorithm", "naive", "--dot", "x.dot"), "no item graph"),
         (("--algorithm", "naive", "--count"), "no forest"),
-        (("--algorithm", "glr-binarized", "--trees", "1"), "--algorithm glr"),
+        (("--algorithm", "cky", "--dot", "x.dot"), "no item graph"),
         (("--trees", "0"), "must be positive"),
         (("--trees", "-3"), "must be positive"),
     ],

@@ -205,20 +205,41 @@ def test_cyclic_forest_infinite():
         assert validate_tree(base, t)
 
 
-def test_no_editor_for_plain_machines(branching_pda):
+def test_no_editor_for_plain_machines(branching_pda, sps_grammar):
     c = run_tabular(branching_pda, "abcd")
     f = reduce_forest(build_forest_items(c))
     assert count_trees(f).value == 2
     with pytest.raises(ForestError, match="editor"):
         extract_trees(f, 2)
-
-
-def test_no_editor_for_binarized_machines(sps_grammar):
-    p = binarize_reductions(compile_lr(sps_grammar))
-    c = run_tabular(p, "a + a".split())
-    f = reduce_forest(build_forest_items(c))
+    # A compiled machine rebuilt by hand without its `completes` compares
+    # equal to it, but none of its steps names a rule.
+    p = compile_lr(sps_grammar)
+    q = dataclasses.replace(p, completes={})
+    assert p == q
+    f = reduce_forest(build_forest_items(run_tabular(q, ["a"])))
+    assert count_trees(f).value == 1
     with pytest.raises(ForestError, match="editor"):
         extract_trees(f, 1)
+
+
+@pytest.mark.parametrize(
+    "fixture,text", [("sps_grammar", "a + a + a"), ("expr_grammar", "a + a * a")]
+)
+def test_binarized_trees_match_glr(request, fixture, text):
+    # The binarized machine's finishing steps name the rule its aux cells
+    # spell out, so the one fold gives the lazy machine's trees.
+    g = request.getfixturevalue(fixture)
+    lazy = compile_lr(g)
+    forests = [
+        reduce_forest(build_forest_items(run_tabular(p, text.split())))
+        for p in (lazy, binarize_reductions(lazy))
+    ]
+    assert [f.origin for f in forests] == ["lr", "lr-binarized"]
+    assert count_trees(forests[0]) == count_trees(forests[1]) == forest.TreeCount(2, False)
+    lazy_trees, binarized_trees = (extract_trees(f, 5) for f in forests)
+    assert len(binarized_trees) == 2 and set(binarized_trees) == set(lazy_trees)
+    for t in binarized_trees:
+        assert validate_tree(g, t)
 
 
 def _assert_empty(f):
@@ -256,13 +277,13 @@ def test_reduce_makes_only_rules_it_keeps(monkeypatch, algorithm, made, total):
     g = augment_start(parse_grammar("L -> a L\nL -> a"))
     tokens = ("a",) * 50
     if algorithm == "earley":
-        c, name = earley_parse(g, tokens), "_earley_body"
+        c, name = earley_parse(g, tokens), "_earley_steps"
     else:
         compile_ = compile_topdown if algorithm == "topdown" else compile_lr
-        c, name = run_tabular(compile_(g), tokens), "_engine_body"
-    body = getattr(forest, name)
-    calls = []
-    monkeypatch.setattr(forest, name, lambda just: calls.append(just) or body(just))
+        c, name = run_tabular(compile_(g), tokens), "_engine_steps"
+    steps = getattr(forest, name)
+    calls = []  # the justifications turned into rules
+    monkeypatch.setattr(forest, name, lambda ch, h, js: calls.extend(js) or steps(ch, h, js))
     full = build_forest_items(c)
     reduced = reduce_forest(full)
     assert len(calls) == made
@@ -270,7 +291,7 @@ def test_reduce_makes_only_rules_it_keeps(monkeypatch, algorithm, made, total):
     assert sum(map(len, c.justifications.values())) == total > 5 * made
     assert len(reduced.rules) == made  # one rule per justification here
     # Reading the full rules makes every rule, as an eager build did.
-    eager = {ForestRule(h, *body(j)) for h, justs in c.justifications.items() for j in justs}
+    eager = {ForestRule(h, *step) for h, js in c.justifications.items() for step in steps(c, h, js)}
     assert set(full.rules) == eager and len(full.rules) == len(eager)
     assert len(calls) == made + total
 
@@ -374,7 +395,9 @@ def _chart_forests(rules, tokens):
     yield build_forest_items(earley_parse(aug, tokens))
     yield build_forest_items(run_tabular(compile_topdown(aug), tokens))
     if not has_epsilon_rules(g):
-        yield build_forest_items(run_tabular(compile_lr(aug), tokens))
+        lazy = compile_lr(aug)
+        yield build_forest_items(run_tabular(lazy, tokens))
+        yield build_forest_items(run_tabular(binarize_reductions(lazy), tokens))
     if is_cnf(g):
         yield build_forest_cky(cky_parse(g, tokens))
         yield build_forest_items(run_tabular(compile_bottomup(g), tokens))
@@ -417,12 +440,17 @@ def _derived(draw, rules):
     return form
 
 
+def _token_lists(rules):
+    """Up to four tokens over the grammar's terminals, its nonterminal
+    names and one symbol it does not know."""
+    symbols = {r.lhs for r in rules}.union(*(r.rhs for r in rules))
+    return st.lists(st.sampled_from(sorted(symbols) + ["c"]), max_size=4)
+
+
 # Drawn strings are mostly rejected; derived ones are accepted, so their
 # forests hold trees, the glr reductions and acceptance among them.
 _GRAMMAR_INPUTS = RANDOM_GRAMMARS.flatmap(
-    lambda rules: st.tuples(
-        st.just(rules), st.one_of(_derived(rules), st.lists(st.sampled_from("ab"), max_size=4))
-    )
+    lambda rules: st.tuples(st.just(rules), st.one_of(_derived(rules), _token_lists(rules)))
 )
 
 
@@ -430,6 +458,8 @@ _GRAMMAR_INPUTS = RANDOM_GRAMMARS.flatmap(
 @example(([Rule("S", ("S", "S")), Rule("S", ("a",))], list("aaaa")))  # 5 trees
 @example(([Rule("S", ("A", "A")), Rule("A", ("a",)), Rule("A", ())], ["a"]))  # 2 trees
 @example(([Rule("S", ("S",)), Rule("S", ("a",))], ["a"]))  # infinitely many
+@example(([Rule("S", ())], []))  # the axiom completes the start rule
+@example(([Rule("S", ("a",))], ["S"]))  # a token spelled like the start symbol
 def test_chart_forests_hold_the_oracle_trees(case):
     # Differential property: every algorithm's forest counts the same trees,
     # and a finite count is the oracle's, tree for tree.  An infinite count
@@ -675,6 +705,7 @@ def _is_comb(t, n, left):
         ("topdown", "L -> L a\nL -> a", 2000),
         ("glr", "L -> L a\nL -> a", 2000),
         ("glr", "L -> a L\nL -> a", 360),
+        ("glr-binarized", "L -> L a\nL -> a", 2000),
     ],
 )
 def test_extract_deep_list(algorithm, text, n):
@@ -682,6 +713,8 @@ def test_extract_deep_list(algorithm, text, n):
     tokens = ("a",) * n
     if algorithm == "earley":
         c = earley_parse(g, tokens)
+    elif algorithm == "glr-binarized":
+        c = run_tabular(binarize_reductions(compile_lr(g)), tokens)
     else:
         c = run_tabular((compile_topdown if algorithm == "topdown" else compile_lr)(g), tokens)
     f = reduce_forest(build_forest_items(c))

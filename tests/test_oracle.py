@@ -75,3 +75,13 @@ def test_enumerate_trees_rejects_bad_budgets(expr_grammar):
         enumerate_trees(expr_grammar, ["a"], 0)
     with pytest.raises(ValueError):
         enumerate_trees(expr_grammar, ["a"], 5, max_depth=0)
+
+
+def test_token_spelled_like_a_nonterminal_derives_nothing():
+    # The token "A" is no terminal: only a rule can make A derive a span.
+    g = parse_grammar("S -> A b\nA -> a")
+    assert not recognizes(g, ("S",))
+    assert not recognizes(g, ("A", "b"))
+    assert ("A", 0, 1) not in derivable(g, ("A", "b"))
+    assert enumerate_trees(g, ("A", "b"), 5) == []
+    assert recognizes(g, ("a", "b"))
