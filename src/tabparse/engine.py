@@ -27,7 +27,7 @@ of arcs that spells them out.  So do the lazy reductions of a shift-reduce
 machine, one arc per right-hand-side symbol, and its acceptance.  The
 three share one table, keyed by the popped arc, and one loop: each popped
 item looks up the path cells it can fill and walks the rest of each path
-from there (`_chains`).
+from there (`_chains`).  Reductions supply their own entries.
 
 Chart format: the saturation loop stores plain tuples and reads them by
 position, so no constructor runs per inference.  An item is the tuple
@@ -44,7 +44,6 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Any, NamedTuple
 
-from .lr import index_reductions
 from .pda import Marker, Pda, Transition, render_symbol
 
 BOTTOM = Marker("bot")
@@ -217,15 +216,13 @@ def _trigger_tables(p: Pda) -> tuple:
     `pops` is the multi-pop table: literal F7 transitions, then the lazy
     reductions and acceptance of a shift-reduce machine, all of which fire
     on a linked path of arcs.  It maps a popped arc (lower, upper) to one
-    entry (uppers, lowers, tag, via, top) per path cell that arc can fill.
+    entry (uppers, lowers, tag, via, tops) per path cell that arc can fill.
     `_chains` walks `uppers` and `lowers` from the arc; the consequent runs
     from the path's first lower vertex to its last upper position and
-    pushes `top`, or for a reduction the goto of that lower symbol on `top`,
-    its left-hand side.  The first cell of a single-push F7 path may have
-    any lower symbol, so its entry is keyed under every one.  A reduction's
-    entries follow `lr.index_reductions`; a start rule's are each followed
-    by an acceptance entry, whose path starts at the initial state and then
-    takes one more step down, onto BOTTOM."""
+    pushes what `tops` maps that lower symbol to.  The first cell of a
+    single-push F7 path may have any lower symbol, so its entry is keyed
+    under, and maps, every one.  Reductions, in machine order, add their
+    own entries (`lr.Reduction.pop_entries`)."""
     if p._triggers is not None:
         return p._triggers
     f1, f2, f4, f5 = (defaultdict(list) for _ in range(4))  # upper -> entries
@@ -250,20 +247,15 @@ def _trigger_tables(p: Pda) -> tuple:
         else:
             # A two-push F7 keeps pop[0] as the lower end of its first cell.
             pop, lo = t.pop, len(t.push) - 1
+            tops = dict.fromkeys((pop[0],) if lo else p.stack_symbols | {BOTTOM}, t.push[-1])
             for k in range(lo, len(pop)):
                 lowers = tuple(pop[i - 1] if i else None for i in range(k - 1, lo - 1, -1))
-                entry = (pop[k + 1 :], lowers, "F7", t, t.push[-1])
-                for low in (pop[k - 1],) if k else p.stack_symbols | {BOTTOM}:
+                entry = (pop[k + 1 :], lowers, "F7", t, tops)
+                for low in (pop[k - 1],) if k else tops:
                     pops[(low, pop[k])].append(entry)
-    for arc, cells in index_reductions(p.automaton, p.reductions).items():
-        for red, k in cells:
-            m, lhs = len(red.rule.rhs), red.rule.lhs
-            uppers = (None,) * (m - k - 1) + (red.state,) if k < m else ()
-            lowers = (None,) * (k - 1)
-            pops[arc].append((uppers, lowers, "reduce", red, lhs))
-            if lhs == p.grammar.start and (k > 1 or arc[0] == p.initial):
-                down = (None,) * (k - 2) + (p.initial, BOTTOM) if k > 1 else (BOTTOM,)
-                pops[arc].append((uppers, down, "accept", red, p.final))
+    for red in p.reductions:
+        for arc, entry in red.pop_entries(BOTTOM):
+            pops[arc].append(entry)
     pushes = {up: f1[up] + f6 + f4[up] for up in {**f1, **f4}}
     swaps = {up: f2[up] + f5[up] for up in {**f2, **f5}}
     tables = (pushes, f6, swaps, f3, f3_first, dict(pops))
@@ -278,7 +270,6 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     tokens = c.tokens
     n = len(tokens)
     pushes, f6, swaps, f3, f3_first, pops = _trigger_tables(p)
-    goto = p.automaton.goto_state if p.automaton is not None else None
 
     justifications, push = c.justifications, c.agenda.append
     by_upper_at, by_lower_at = c.by_upper_at, c.by_lower_at
@@ -336,10 +327,10 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
         # `item` in each cell it can fill.  A machine with none of them
         # skips building the (low, up) key.
         if pops:
-            for uppers, lowers, tag, via, top in pops.get((low, up), ()):
+            for uppers, lowers, tag, via, tops in pops.get((low, up), ()):
                 for chain in _chains(c, item, uppers, lowers):
                     first = chain[0]
-                    pushed = goto(first[0], top) if tag == "reduce" else top
+                    pushed = tops.get(first[0])
                     if pushed is not None:
                         new, just = (first[0], first[1], pushed, chain[-1][3]), (tag, chain, via)
                         if new in justifications:

@@ -128,13 +128,13 @@ def _earley_steps(c, item, justs) -> list[tuple[tuple, Optional[Rule]]]:
 
 def _engine_steps(c, item, justs) -> list[tuple[tuple, Optional[Rule]]]:
     """The (body, grammar rule) of each justification: its antecedents and
-    the token it read, less the first cell of the path for an acceptance or
-    an F7 step that keeps nothing below; the rule is the one the machine's
-    `completes` gives the step."""
+    the token it read, less the first cell of an acceptance's path; the
+    rule is the one the machine's `completes` gives the step."""
     completes = c.pda.completes
     steps = []
     for tag, ante, via in justs:
-        if tag == "accept" or tag == "F7" and len(via.push) == 1:
+        if tag == "accept":
+            # That cell is always the axiom arc (bot, 0, q0, 0): it derives nothing.
             ante = ante[1:]
         elif tag in ("F1", "F2", "F6"):
             ante += via.read

@@ -1,18 +1,16 @@
 """Shift-reduce automata and their stack machines.
 
 States are sets of dotted rules, and the automaton is one goto map from
-(state, symbol) to state, built one state at a time; the shifts, the
-reduction index, the binarizer and the engine's gotos all read that map.
-The compiled machine keeps one state per stack cell; shifting reads a token
-and pushes the successor state, and a reduction pops one cell per
-right-hand-side symbol before pushing the goto of the uncovered state.
-Reductions pop unboundedly many cells, so they are kept as lazy descriptors
-(state, rule) and instantiated against a concrete stack or table on demand.
-The table engine indexes them by the goto arc they pop (`index_reductions`),
-so it looks up the reductions an arc can take part in rather than trying
-every one.  `binarize_reductions` rewrites them into bounded transitions for
-engines that want none of that laziness.
-"""
+(state, symbol) to state, built one state at a time; the shifts and the
+reductions read that map.  The compiled machine keeps one state per stack
+cell; shifting reads a token and pushes the successor state, and a
+reduction pops one cell per right-hand-side symbol before pushing the goto
+of the uncovered state.  Reductions pop unboundedly many cells, so they are
+kept as lazy `Reduction`s (state, rule), which expand themselves on demand:
+against a concrete stack for the simulator, and into entries keyed by the
+goto arcs they pop for the table engine's multi-pop table.  Neither layer
+reads the automaton.  `binarize_reductions` rewrites them into bounded
+transitions for engines that want none of that laziness."""
 
 from __future__ import annotations
 
@@ -55,14 +53,60 @@ class LrAutomaton:
         return self.goto_map.get((state, symbol))
 
 
-class Reduction(NamedTuple):
-    """Lazy stand-in for the pop-heavy transitions of a completed rule."""
+class Reduction(NamedTuple("StateRule", [("state", LrState), ("rule", Rule)])):
+    """Lazy stand-in for the pop-heavy transitions of a completed rule.  It
+    compares, hashes and prints as (state, rule) and keeps its automaton, so
+    what it pops and leaves is defined here once: the simulator (`expand`),
+    the engine (`pop_entries`) and the binarizer all take it from here."""
 
-    state: LrState
-    rule: Rule
+    def __new__(cls, state: LrState, rule: Rule, automaton: LrAutomaton):
+        self = super().__new__(cls, state, rule)
+        self.automaton = automaton
+        return self
 
     def __str__(self) -> str:
         return f"{self.state} , {self.rule}"
+
+    def leaves(self, q0) -> list[tuple]:
+        """What replaces the popped chain when it uncovers state q0: (q0,
+        goto(q0, lhs)), and (final,) when the start rule is reduced from the
+        initial state."""
+        auto, lhs = self.automaton, self.rule.lhs
+        target = auto.goto_state(q0, lhs)
+        tails = [] if target is None else [(q0, target)]
+        if q0 == auto.states[0] and lhs == auto.grammar.start:
+            tails.append((FINAL,))
+        return tails
+
+    def expand(self, stack: tuple):
+        """The stacks it turns a simulator stack into.  Every goto chain into
+        its state spells the right-hand side (LR(0) states have one accessing
+        symbol), so only the top cell and the uncovered state are read."""
+        m = len(self.rule.rhs)
+        if len(stack) > m and stack[-1] == self.state:
+            for tail in self.leaves(stack[-m - 1]):
+                yield stack[: -m - 1] + tail
+
+    def pop_entries(self, bottom):
+        """The table engine's multi-pop entries (arc, (uppers, lowers, tag,
+        self, tops)), one per goto arc that can be the k-th popped cell, k
+        ascending; `tops` maps the lower symbol of the path's first cell to
+        what the consequent pushes.  When the reduction accepts, an accept
+        entry follows each reduce entry; its path takes one more cell, from
+        the initial state down onto `bottom`."""
+        auto, rhs, m = self.automaton, self.rule.rhs, len(self.rule.rhs)
+        chain, initial = chain_states(auto, self), auto.states[0]
+        gotos = {q0: t[1] for q0 in chain[0] for t in self.leaves(q0) if len(t) == 2}
+        accepts = initial in chain[0] and (FINAL,) in self.leaves(initial)
+        for k in range(1, m + 1):
+            uppers = (None,) * (m - k - 1) + (self.state,) if k < m else ()
+            lowers = (None,) * (k - 1)
+            for upper in chain[k]:
+                for lower in auto.sources.get((upper, rhs[k - 1]), ()):
+                    yield (lower, upper), (uppers, lowers, "reduce", self, gotos)
+                    if accepts and (k > 1 or lower == initial):
+                        down = lowers[:-1] + (initial, bottom) if k > 1 else (bottom,)
+                        yield (lower, upper), (uppers, down, "accept", self, {bottom: FINAL})
 
 
 class AuxSymbol(NamedTuple):
@@ -139,22 +183,6 @@ def chain_states(auto: LrAutomaton, red: Reduction) -> list[set[LrState]]:
     return possible[::-1]
 
 
-def index_reductions(auto: LrAutomaton, reductions) -> dict:
-    """Map each goto arc (lower, upper) to the (reduction, k) whose k-th
-    popped cell it can be: goto(lower, rhs[k-1]) == upper and the goto path
-    from upper over rhs[k:] ends in the reduction's state.  Lists run in
-    reduction order, then k order, the order in which the table engine
-    fires them."""
-    index = defaultdict(list)
-    for red in reductions:
-        possible = chain_states(auto, red)
-        for k, sym in enumerate(red.rule.rhs, 1):
-            for upper in possible[k]:
-                for lower in auto.sources.get((upper, sym), ()):
-                    index[(lower, upper)].append((red, k))
-    return dict(index)
-
-
 def compile_lr(g: Grammar) -> Pda:
     auto = build_lr_automaton(g)
     terminals = g.terminals
@@ -167,7 +195,7 @@ def compile_lr(g: Grammar) -> Pda:
     for state in auto.states:
         for rule in g.rules:
             if DottedRule(rule, len(rule.rhs)) in state.items:
-                reductions.append(Reduction(state, rule))
+                reductions.append(Reduction(state, rule, auto))
     return Pda(
         input_alphabet=frozenset(terminals),
         stack_symbols=frozenset(auto.states) | {FINAL},
@@ -191,11 +219,14 @@ def binarize_reductions(p: Pda) -> Pda:
     rule and the number of cells still owed; the states that may legally
     appear at each chain position are precomputed by walking the goto map
     backwards, so no spurious transition is ever emitted.  Only the
-    finishing steps, the goto and the acceptance, complete the rule.
+    finishing steps, the reduction's `leaves`, complete the rule.  A machine
+    with no lazy reductions left comes back as it is.
     """
     auto: LrAutomaton = p.automaton
     if auto is None or p.grammar is None:
         raise ValueError("can only binarize a machine built by the shift-reduce compiler")
+    if not p.reductions:
+        return p
     g = p.grammar
     transitions = list(p.transitions)
     seen = set(transitions)
@@ -212,27 +243,19 @@ def binarize_reductions(p: Pda) -> Pda:
             symbols.update(t.push)
 
     for red in p.reductions:
-        m = len(red.rule.rhs)
+        m, top = len(red.rule.rhs), red.state
         possible = chain_states(auto, red)
-
-        def finishers(pop_top):
-            for q0 in sorted(possible[0], key=lambda s: s.id):
-                target = auto.goto_state(q0, red.rule.lhs)
-                if target is not None:
-                    emit(Transition((q0, pop_top), (), (q0, target)), red.rule)
-                if q0 == p.initial and red.rule.lhs == g.start:
-                    emit(Transition((q0, pop_top), (), (p.final,)), red.rule)
-
-        if m == 1:
-            finishers(red.state)
-            continue
-        aux = lambda k: AuxSymbol(red.rule, k)
-        for q in sorted(possible[m - 1], key=lambda s: s.id):
-            emit(Transition((q, red.state), (), (aux(m - 2),)))
-        for k in range(m - 2, 0, -1):
-            for q in sorted(possible[k], key=lambda s: s.id):
-                emit(Transition((q, aux(k)), (), (aux(k - 1),)))
-        finishers(aux(0))
+        if m > 1:
+            aux = lambda k: AuxSymbol(red.rule, k)
+            for q in sorted(possible[m - 1], key=lambda s: s.id):
+                emit(Transition((q, red.state), (), (aux(m - 2),)))
+            for k in range(m - 2, 0, -1):
+                for q in sorted(possible[k], key=lambda s: s.id):
+                    emit(Transition((q, aux(k)), (), (aux(k - 1),)))
+            top = aux(0)
+        for q0 in sorted(possible[0], key=lambda s: s.id):
+            for tail in red.leaves(q0):
+                emit(Transition((q0, top), (), tail), red.rule)
 
     return Pda(
         input_alphabet=p.input_alphabet,

@@ -91,11 +91,9 @@ class Pda:
     initial: Any
     final: Any
     transitions: tuple[Transition, ...]
-    # Lazily expanded reductions for shift-reduce automata: the table engine
-    # and the simulator instantiate their multi-pop transitions on demand
-    # instead of materializing every goto-consistent state chain.  On its
-    # first run the table engine enters them, and acceptance, in its
-    # multi-pop table by the goto arc they pop, next to the F7 transitions.
+    # Lazy reductions of shift-reduce automata (`lr.Reduction`), in place of
+    # their multi-pop transitions.  Each expands itself, into the stacks it
+    # leaves for the simulator and into the table engine's multi-pop entries.
     reductions: tuple = ()
     automaton: Any = field(default=None, compare=False)
     # Grammar this machine was compiled from, when there is one.  Needed to
@@ -191,8 +189,9 @@ def simulate(
             nxt = applicable(t, c, tokens)
             if nxt is not None:
                 yield nxt
-        for nxt in _reduction_successors(p, c):
-            yield nxt
+        for red in p.reductions:
+            for stack in red.expand(c.stack):
+                yield Configuration(stack, c.position)
 
     # The current branch, with the untried successors of each configuration
     # on it: an explicit stack, so branch length is not bounded by recursion.
@@ -232,37 +231,11 @@ def simulate(
     return SimulationResult(verdict, tuple(runs))
 
 
-def _reduction_successors(p: Pda, c: Configuration):
-    """Instantiate lazy reductions against the current stack."""
-    for red in p.reductions:
-        m = len(red.rule.rhs)
-        stack = c.stack
-        if len(stack) < m + 1 or stack[-1] != red.state:
-            continue
-        chain = stack[-(m + 1) :]
-        auto = p.automaton
-        if any(
-            auto.goto_state(chain[i], red.rule.rhs[i]) != chain[i + 1]
-            for i in range(m)
-        ):
-            continue
-        target = auto.goto_state(chain[0], red.rule.lhs)
-        if target is not None:
-            yield Configuration(stack[: -(m + 1)] + (chain[0], target), c.position)
-        if (
-            len(stack) == m + 1
-            and chain[0] == p.initial
-            and p.grammar is not None
-            and red.rule.lhs == p.grammar.start
-        ):
-            yield Configuration((p.final,), c.position)
-
-
 def dump_pda(p: Pda) -> str:
     lines = [f"init: {render_symbol(p.initial)}", f"final: {render_symbol(p.final)}"]
     lines.extend(str(t) for t in p.transitions)
     for red in p.reductions:
-        lines.append(f"reduce: {red.state} , {red.rule}")
+        lines.append(f"reduce: {red}")
     return "\n".join(lines)
 
 

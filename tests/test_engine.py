@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
-from tabparse import engine
 from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import (
     BOTTOM,
@@ -24,7 +24,7 @@ from tabparse.grammar import (
     is_cnf,
     parse_grammar,
 )
-from tabparse.lr import binarize_reductions, compile_lr, index_reductions
+from tabparse.lr import Reduction, binarize_reductions, compile_lr
 from tabparse.oracle import recognizes
 from tabparse.pda import Pda, Transition, simulate
 from tabparse.strategies import compile_bottomup, compile_topdown
@@ -351,6 +351,29 @@ def test_glr_inference_counts(expr_grammar):
     assert (c.fired, len(c.items)) == (5251, 5251)
 
 
+def _fired(algorithm, g, tokens):
+    g = augment_start(g)
+    if algorithm == "earley":
+        return earley_parse(g, tokens).fired
+    if algorithm == "topdown":
+        return run_tabular(compile_topdown(g), tokens).fired
+    p = compile_lr(g)
+    if algorithm == "glr-binarized":
+        p = binarize_reductions(p)
+    return run_tabular(p, tokens).fired
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("algorithm", ["earley", "topdown", "glr-binarized", "glr"])
+def test_work_grows_polynomially_on_ambiguous_products(algorithm, m):
+    # S -> S^m | a on a^n: the binary machines stay cubic, while a lazy
+    # reduction pops m + 1 cells, so its chains number up to n^(m + 1).
+    g = parse_grammar(f"S -> {' '.join(['S'] * m)}\nS -> a")
+    small, large = (_fired(algorithm, g, ["a"] * n) for n in (24, 48))
+    predicted = m + 1 if algorithm == "glr" else 3
+    assert math.log2(large / small) <= predicted + 0.25
+
+
 def make_f7_machine(single: bool) -> Pda:
     reduce_pop = ("x", "y", "z")
     if single:
@@ -541,22 +564,25 @@ def test_chart_entries_are_plain_tuples(branching_pda, expr_grammar, sps_grammar
 
 
 def test_trigger_tables_built_once_per_machine(expr_grammar, monkeypatch):
-    # The LR machine's reduction index is built with the other tables.
-    indexed = []
+    # The LR machine's reduction entries are built with the other tables,
+    # once per reduction.
+    built = []
+    pop_entries = Reduction.pop_entries
     monkeypatch.setattr(
-        engine, "index_reductions", lambda *args: indexed.append(args) or index_reductions(*args)
+        Reduction, "pop_entries", lambda red, bottom: built.append(red) or pop_entries(red, bottom)
     )
     expr = augment_start(expr_grammar)
     for p in (compile_topdown(expr), compile_lr(expr)):
-        indexed.clear()
+        built.clear()
         first = run_tabular(p, "a + a".split())
         tables = p._triggers
         assert tables is not None
+        assert built == list(p.reductions)
         again = run_tabular(p, "a + a".split())
         assert p._triggers is tables
         assert again.justifications == first.justifications
         assert recognized(again)
-        assert indexed == [(p.automaton, p.reductions)]
+        assert built == list(p.reductions)
 
 
 def test_equal_machines_get_equal_charts(expr_grammar):

@@ -40,6 +40,7 @@ from tabparse.grammar import (
 )
 from tabparse.lr import binarize_reductions, compile_lr
 from tabparse.oracle import enumerate_trees
+from tabparse.pda import Marker, Pda, Transition, simulate
 from tabparse.strategies import DottedRule, compile_bottomup, compile_topdown
 from tabparse.trees import render_tree, tree_yield, validate_tree
 
@@ -240,6 +241,51 @@ def test_binarized_trees_match_glr(request, fixture, text):
     assert len(binarized_trees) == 2 and set(binarized_trees) == set(lazy_trees)
     for t in binarized_trees:
         assert validate_tree(g, t)
+
+
+def test_binarizing_twice_keeps_trees(sps_grammar):
+    # A binarized machine has no lazy reductions left, so a second
+    # binarization returns it as it is, with the rules its steps complete.
+    once = binarize_reductions(compile_lr(sps_grammar))
+    assert binarize_reductions(once) is once
+    forests = [
+        reduce_forest(build_forest_items(run_tabular(p, "a + a".split())))
+        for p in (once, binarize_reductions(once))
+    ]
+    assert count_trees(forests[0]) == count_trees(forests[1]) == forest.TreeCount(1, False)
+    assert extract_trees(forests[0], 5) == extract_trees(forests[1], 5)
+
+
+@pytest.mark.parametrize("single_push", [True, False])
+def test_multi_pop_forest_keeps_first_cell(single_push):
+    # x y z -> w pops the arc under x too: a single-push F7 consumes what
+    # its first cell derives, here `a` in two ways (s -a-> s x, and
+    # s -a-> s v then v -> x), like the two-push form s x y z -> s w.
+    s, x, v, y, z, w, f = (Marker(f"f7-{name}") for name in "sxvyzwf")
+    reduce_step = (
+        Transition((x, y, z), (), (w,))
+        if single_push
+        else Transition((s, x, y, z), (), (s, w))
+    )
+    p = Pda(
+        frozenset("abc"),
+        frozenset({s, x, v, y, z, w, f}),
+        s,
+        f,
+        (
+            Transition((s,), ("a",), (s, x)),
+            Transition((s,), ("a",), (s, v)),
+            Transition((v,), (), (x,)),
+            Transition((x,), ("b",), (x, y)),
+            Transition((y,), ("c",), (y, z)),
+            reduce_step,
+            Transition((s, w), (), (f,)),
+        ),
+    )
+    tokens = "a b c".split()
+    reduced = reduce_forest(build_forest_items(run_tabular(p, tokens)))
+    assert count_trees(reduced).value == 2 == len(simulate(p, tokens).runs)
+    assert (s, 0, x, 1) in {r.head for r in reduced.rules}
 
 
 def _assert_empty(f):

@@ -14,7 +14,6 @@ from tabparse.lr import (
     closure,
     compile_lr,
     dump_automaton,
-    index_reductions,
 )
 from tabparse.pda import simulate
 from tabparse.strategies import DottedRule
@@ -197,16 +196,20 @@ _RULES = st.lists(
 def test_reduction_index_matches_brute_force(rules):
     # Arc (q, t) can be the k-th popped cell of a reduction when goto takes
     # q to t over the k-th symbol and on from t over the rest of the
-    # right-hand side into the reduction's own state.
+    # right-hand side into the reduction's own state.  Its reduce entry maps
+    # every state the right-hand side leads from into the reduction's state
+    # to that state's goto on the left-hand side; a start rule that the
+    # initial state reaches accepts, through the initial state onto BOTTOM.
     p = compile_lr(Grammar(tuple(rules), rules[0].lhs))
     auto = p.automaton
+    initial = auto.states[0]
 
     def walk(state, symbols):
         for sym in symbols:
             state = auto.goto_state(state, sym)
         return state
 
-    want = {}
+    want, want_accept = {}, {}
     for q in auto.states:
         for t in auto.states:
             fits = [
@@ -218,7 +221,39 @@ def test_reduction_index_matches_brute_force(rules):
             ]
             if fits:
                 want[(q, t)] = fits
-    assert index_reductions(auto, p.reductions) == want
+            accepts = [
+                (red, k)
+                for red, k in fits
+                if red.rule.lhs == p.grammar.start
+                and walk(initial, red.rule.rhs) == red.state
+                and (k > 1 or q == initial)
+            ]
+            if accepts:
+                want_accept[(q, t)] = accepts
+    got, got_accept = {}, {}
+    for red in p.reductions:
+        gotos = {
+            q: auto.goto_state(q, red.rule.lhs)
+            for q in auto.states
+            if walk(q, red.rule.rhs) == red.state
+            and auto.goto_state(q, red.rule.lhs) is not None
+        }
+        for arc, (uppers, lowers, tag, via, tops) in red.pop_entries(BOTTOM):
+            assert via is red
+            k = len(red.rule.rhs) - len(uppers)
+            if tag == "reduce":
+                assert lowers == (None,) * (k - 1)
+                assert tops == gotos
+                got.setdefault(arc, []).append((red, k))
+            else:
+                assert tag == "accept"
+                assert got[arc][-1] == (red, k)  # right after its reduce entry
+                down = (None,) * (k - 2) + (initial, BOTTOM) if k > 1 else (BOTTOM,)
+                assert lowers == down
+                assert tops == {BOTTOM: FINAL}
+                got_accept.setdefault(arc, []).append((red, k))
+    assert got == want
+    assert got_accept == want_accept
     assert binarize_reductions(p).reductions == ()
 
 
