@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .cky import cky_parse, cky_recognized
 from .cky import dump_matrix as cky_matrix
@@ -25,7 +26,7 @@ from .forest import (
     extract_trees,
     reduce_forest,
 )
-from .grammar import GrammarError, augment_start, parse_grammar
+from .grammar import DuplicateRuleWarning, GrammarError, augment_start, parse_grammar
 from .lr import binarize_reductions, compile_lr, dump_automaton
 from .oracle import recognizes
 from .pda import dump_pda, simulate
@@ -90,6 +91,10 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _print_warning(message, *_) -> None:
+    print(f"tabparse: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     alg = args.algorithm
@@ -112,7 +117,13 @@ def main(argv=None) -> int:
         # utf-8-sig drops a leading byte-order mark, which would otherwise
         # become part of the first left-hand side.
         with open(args.grammar, encoding="utf-8-sig") as handle:
-            grammar = parse_grammar(handle.read())
+            text = handle.read()
+        # One stderr line per dropped duplicate rule, never a traceback,
+        # whatever the interpreter's warning filters say.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", DuplicateRuleWarning)
+            warnings.showwarning = _print_warning
+            grammar = parse_grammar(text)
     except OSError as err:
         return _usage_error(f"cannot read {args.grammar}: {err.strerror}")
     except UnicodeDecodeError as err:

@@ -10,24 +10,24 @@ a tree of the original grammar.  Read this way a chart is a shared
 forest grammar (Billot & Lang 1989) in which every nonterminal derives a
 token string: an entry's first justification uses only entries derived
 before it, and its forest body is a subset of those antecedents.  So a
-chart forest makes a head's rules when first asked and its full `rules`,
-in chart order, only when read; `reduce_forest` makes none for an entry
-the start node does not reach.  Counting and extraction never enumerate
-shared substructure twice, so they stay cheap even when the number of
-trees is astronomical or infinite.  Both reuse the by-head index,
-children-first order and cycle flag that `reduce_forest` finds in its
-walk, and both run on explicit stacks, so trees may be of any depth.
+chart forest makes a head's steps, plain (head, body, rule) tuples, in
+one call when first asked, and its full `rules`, their `ForestRule`
+views in chart order, only when read; `reduce_forest` makes none for an
+entry the start node does not reach.  Counting and extraction never
+enumerate shared substructure twice, so they stay cheap even when the
+number of trees is astronomical or infinite.  Both reuse the by-head
+index, children-first order and cycle flag that `reduce_forest` finds in
+its walk, and both run on explicit stacks, so trees may be of any depth.
 
 The nodes of a forest over an agenda chart are the chart's own entries,
-plain tuples (see `engine` and `earley`), which `build_forest_items` reads
-by position.  `dump_forest` prints them through the item view of the
+plain tuples (see `engine` and `earley`); they and the steps are read by
+position.  `dump_forest` prints nodes through the item view of the
 forest's origin, `EarleyItem` or `Item`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
@@ -52,6 +52,8 @@ class SpanNode(NamedTuple):
 
 
 class ForestRule(NamedTuple):
+    """A forest step by name; a chart forest's steps are plain tuples."""
+
     head: Any
     body: tuple  # chart nodes and raw token strings
     rule: Optional[Rule] = None  # the grammar rule this step completes, if any
@@ -66,14 +68,15 @@ class ParseForest:
     # (by-head index, nodes reached from start children first, cycle flag)
     _graph: Any = field(default=None, init=False, repr=False, compare=False)
     # Chart forests only: (a function giving the heads in chart order, one
-    # giving a head's rules or None).  Such a forest makes `rules` when read.
+    # giving a head's steps or None).  Such a forest makes `rules` when read.
     _chart: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __getattr__(self, name: str):
         if name != "rules" or self._chart is None:
             raise AttributeError(name)
         heads, rules_of = self._chart
-        object.__setattr__(self, name, tuple(r for h in heads() for r in rules_of(h) or ()))
+        steps = (r for h in heads() for r in rules_of(h) or ())
+        object.__setattr__(self, name, tuple(map(ForestRule._make, steps)))
         return self.rules
 
 
@@ -83,77 +86,69 @@ def _chart_forest(heads, rules_of, start, origin: str, grammar) -> ParseForest:
     return f
 
 
-def _rules(head, steps) -> list[ForestRule]:
-    """A head's rules, from the (body, grammar rule) of each justification;
-    repeats go, as two may give one body (Earley's initial item predicted
-    again, where the start symbol occurs in a rule body)."""
-    if len(steps) > 1:
-        steps = dict.fromkeys(steps)
-    return [ForestRule(head, body, rule) for body, rule in steps]
-
-
-def _cky_body(span: SpanNode, just) -> tuple[tuple, Optional[Rule]]:
-    rule, split = just
-    if split is None:
-        return (SpanNode(span.start, rule.rhs[0], span.end),), rule
-    return (SpanNode(span.start, rule.rhs[0], split), SpanNode(split, rule.rhs[1], span.end)), rule
-
-
 def build_forest_cky(c: CkyChart) -> ParseForest:
-    """Forest over the chart's spans, one rule per justification and one per
-    token.  A span's rules are made when first asked for; the full rules,
-    token nodes first and then in chart order, only when read.  A token
-    spelled like a nonterminal gets no token node: that span is the
-    nonterminal's."""
-    nts = c.grammar.nonterminals
-    tokens = {SpanNode(i, t, i + 1): [((t,), None)] for i, t in enumerate(c.tokens) if t not in nts}
+    """Forest over the chart's spans, one step per justification and one per
+    token, as plain (head, body, rule) tuples; a span's are made when first
+    asked for.  The full rules, token nodes first and then in chart order,
+    are their views, made when read.  A token spelled like a nonterminal
+    gets no token node: that span is the nonterminal's."""
+    spans = (SpanNode(i, t, i + 1) for i, t in enumerate(c.tokens))
+    tokens = {s: [(s, (s.symbol,), None)] for s in spans if s.symbol not in c.grammar.nonterminals}
+    justs = c.justifications
 
-    def rules_of(span: SpanNode) -> list[ForestRule]:
-        if span not in c.justifications:
-            return _rules(span, tokens.get(span, []))
-        return _rules(span, [_cky_body(span, j) for j in c.justifications[span]])
+    def rules_of(span: SpanNode) -> Optional[list]:
+        js = justs.get(span)
+        if js is None:
+            return tokens.get(span)
+        i, _, k = span
+        steps = [
+            (span, (SpanNode(i, r.rhs[0], k),), r) if j is None
+            else (span, (SpanNode(i, r.rhs[0], j), SpanNode(j, r.rhs[1], k)), r)
+            for r, j in js
+        ]
+        return list(dict.fromkeys(steps)) if len(steps) > 1 else steps
 
-    heads = lambda: itertools.chain(tokens, map(SpanNode._make, c.justifications))
+    heads = lambda: itertools.chain(tokens, map(SpanNode._make, justs))
     start = SpanNode(0, c.grammar.start, len(c.tokens))
     return _chart_forest(heads, rules_of, start, "cky", c.grammar)
 
 
-def _earley_steps(c, item, justs) -> list[tuple[tuple, Optional[Rule]]]:
-    """The (body, grammar rule) of each justification: its antecedents and
-    the token it scanned; all of a complete item's complete its rule."""
-    dotted = item[1]
-    rule = dotted.rule if dotted.is_complete else None
-    return [(ante if token is None else ante + (token,), rule) for _, ante, token in justs]
-
-
-def _engine_steps(c, item, justs) -> list[tuple[tuple, Optional[Rule]]]:
-    """The (body, grammar rule) of each justification: its antecedents and
-    the token it read, less the first cell of an acceptance's path; the
-    rule is the one the machine's `completes` gives the step."""
-    completes = c.pda.completes
-    steps = []
-    for tag, ante, via in justs:
-        if tag == "accept":
-            # That cell is always the axiom arc (bot, 0, q0, 0): it derives nothing.
-            ante = ante[1:]
-        elif tag in ("F1", "F2", "F6"):
-            ante += via.read
-        steps.append((ante, completes.get(via)))
-    return steps
-
-
 def build_forest_items(c) -> ParseForest:
-    """Forest over the chart's own items, one rule per justification, made
-    on demand; the full rules come in the order items were first derived.
-    Its nodes, the start node too, are the chart's plain tuples."""
-    if isinstance(c, EarleyChart):
-        steps, start, origin, grammar = _earley_steps, c.final_item(), "earley", c.grammar
-    elif isinstance(c, Chart):
-        steps, start, origin, grammar = _engine_steps, c.accept_item(), c.pda.kind, c.pda.grammar
-    else:
+    """Forest over the chart's own items, one step per justification: the
+    antecedents and token read, and the rule of a complete Earley item or
+    the one the machine's `completes` gives.  An item's steps are made when
+    first asked for, less repeats (Earley's initial item predicted again,
+    where the start symbol occurs in a rule body); the full rules, in the
+    order items were first derived, when read.  Nodes are chart tuples."""
+    if not isinstance(c, (EarleyChart, Chart)):
         raise ForestError(f"cannot build a forest from {type(c).__name__}")
     justs = c.justifications
-    rules_of = lambda item: _rules(item, steps(c, item, justs.get(item, ())))
+    if isinstance(c, EarleyChart):
+        start, origin, grammar = c.final_item(), "earley", c.grammar
+
+        def rules_of(item) -> list:
+            rule = item[1].rule if item[1].is_complete else None
+            steps = [
+                (item, ante if token is None else ante + (token,), rule)
+                for _, ante, token in justs.get(item, ())
+            ]
+            return list(dict.fromkeys(steps)) if len(steps) > 1 else steps
+
+    else:
+        start, origin, grammar = c.accept_item(), c.pda.kind, c.pda.grammar
+        completes = c.pda.completes
+
+        def rules_of(item) -> list:
+            steps = []
+            for tag, ante, via in justs.get(item, ()):
+                if tag == "accept":
+                    # Always the axiom arc (bot, 0, q0, 0): it derives nothing.
+                    ante = ante[1:]
+                elif tag in ("F1", "F2", "F6"):
+                    ante += via.read
+                steps.append((item, ante, completes.get(via)))
+            return list(dict.fromkeys(steps)) if len(steps) > 1 else steps
+
     return _chart_forest(justs.keys, rules_of, tuple(start), origin, grammar)
 
 
@@ -250,7 +245,7 @@ def _walk(start, rules_of) -> tuple[dict, list, bool]:
             rules = rules_of(head) or ()
             stack += (head, rules, _CLOSE)
             for r in rules:
-                for b in r.body:
+                for b in r[1]:
                     if not isinstance(b, str):
                         done = finished.get(b)
                         if done is None:
@@ -275,8 +270,9 @@ class TreeCount:
 
 
 def count_trees(f: ParseForest) -> TreeCount:
-    """Number of trees, by one product-sum sweep over the children-first
-    order of the walk in `reduce_forest`, which a reduced forest keeps.
+    """Number of trees, by one sweep over the children-first order of the
+    walk in `reduce_forest`, which a reduced forest keeps: a head's count
+    sums, over its steps, the product of their child nodes' counts.
 
     Expects a reduced forest: a cycle then means the tree set is infinite.
     Any other forest is walked once from its start node, and only a cycle
@@ -288,10 +284,14 @@ def count_trees(f: ParseForest) -> TreeCount:
         return TreeCount(None, True)
     counts: dict[Any, int] = {}
     for head in order:
-        counts[head] = sum(
-            math.prod(1 if isinstance(b, str) else counts[b] for b in r.body)
-            for r in by_head.get(head, ())
-        )
+        total = 0
+        for r in by_head.get(head, ()):
+            product = 1
+            for b in r[1]:
+                if not isinstance(b, str):
+                    product *= counts[b]
+            total += product
+        counts[head] = total
     return TreeCount(counts[f.start], False)
 
 
@@ -314,7 +314,7 @@ def _gen_trees(start, limit: int, by_head):
                 if i + 1 < len(rules):
                     retry.append((goals, i + 1, len(trail)))
                 trail.append((rules[i], left))
-                for b in reversed(rules[i].body):
+                for b in reversed(rules[i][1]):
                     if not isinstance(b, str):
                         rest = (b, left - 1, rest)
                 goals, i = rest, 0
@@ -325,7 +325,7 @@ def _gen_trees(start, limit: int, by_head):
         del trail[n:]
 
 
-def _choose_trees(f: ParseForest, k: int) -> list[list[ForestRule]]:
+def _choose_trees(f: ParseForest, k: int) -> list[list[tuple]]:
     """Up to k forest trees, each as its rules in preorder."""
     by_head, order, cyclic = _graph(f)
     if not cyclic:
@@ -356,7 +356,7 @@ def extract_trees(f: ParseForest, k: int) -> list[ParseTree]:
     return [_edit(f, t) for t in _choose_trees(f, k)]
 
 
-def _edit(f: ParseForest, trail: list[ForestRule]) -> ParseTree:
+def _edit(f: ParseForest, trail: list[tuple]) -> ParseTree:
     """Fold a forest tree, given as its rules in preorder, children first,
     into the list of grammar trees each node yields: a token yields its
     leaf, and a step the trees of its body in order, as one node of the
@@ -365,14 +365,14 @@ def _edit(f: ParseForest, trail: list[ForestRule]) -> ParseTree:
     the node above.  The start node yields one tree, unless no step names
     a rule (a machine built by hand), which raises ForestError."""
     done: list = []
-    for r in reversed(trail):
+    for _, body, rule in reversed(trail):
         kids: list = []
-        for b in r.body:
+        for b in body:
             if isinstance(b, str):
                 kids.append(leaf(b))
             else:
                 kids += done.pop()
-        done.append(kids if r.rule is None else (node(r.rule.lhs, kids),))
+        done.append(kids if rule is None else (node(rule.lhs, kids),))
     (top,) = done
     if len(top) != 1 or top[0].is_leaf:
         raise ForestError(f"no tree editor for {f.origin!r} charts: no rule names their steps")

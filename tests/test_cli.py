@@ -459,6 +459,27 @@ def test_bad_grammar_file(run, tmp_path):
     assert "bad grammar" in err
 
 
+def test_duplicate_rules_reported_one_line_each(run, tmp_path):
+    # Each dropped duplicate is one warning line on stderr, never a
+    # traceback, even when the interpreter turns warnings into errors.
+    path = tmp_path / "dup.cfg"
+    path.write_text("S -> a\nS -> S S\nS -> a\nS -> S S\n", encoding="utf-8")
+    warned = (
+        "tabparse: warning: line 3: duplicate rule S -> a dropped\n"
+        "tabparse: warning: line 4: duplicate rule S -> S S dropped\n"
+    )
+    argv = ["--grammar", str(path), "--input", "a a", "--count"]
+    assert run(*argv) == (0, "RECOGNIZED\ntrees: 1\n", warned)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tabparse.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**_checkout_env(), "PYTHONWARNINGS": "error"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "RECOGNIZED\ntrees: 1\n", warned)
+
+
 def test_missing_grammar_file(run, tmp_path):
     code, _, err = run("--grammar", str(tmp_path / "nope.cfg"), "--input", "a")
     assert code == 2

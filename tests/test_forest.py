@@ -313,33 +313,44 @@ def test_rejected_input_gives_empty_item_forest(algorithm, expr_grammar, cnf_gra
     _assert_empty(build_forest_items(c))
 
 
+class _CountingJustifications(dict):
+    """A chart's justifications that count those a forest builder reads."""
+
+    read = 0
+
+    def get(self, key, default=None):
+        justs = super().get(key, default)
+        self.read += len(justs or ())
+        return justs
+
+
 @pytest.mark.parametrize(
     "algorithm,made,total", [("earley", 151, 1478), ("topdown", 151, 1478), ("glr", 101, 1376)]
 )
-def test_reduce_makes_only_rules_it_keeps(monkeypatch, algorithm, made, total):
+def test_reduce_makes_only_rules_it_keeps(algorithm, made, total):
     # Under right recursion most items are partial lists the whole input
     # never uses; reduction turns only the justifications of the heads the
-    # start node reaches into rules.
+    # start node reaches into forest steps.
     g = augment_start(parse_grammar("L -> a L\nL -> a"))
     tokens = ("a",) * 50
     if algorithm == "earley":
-        c, name = earley_parse(g, tokens), "_earley_steps"
+        c = earley_parse(g, tokens)
     else:
         compile_ = compile_topdown if algorithm == "topdown" else compile_lr
-        c, name = run_tabular(compile_(g), tokens), "_engine_steps"
-    steps = getattr(forest, name)
-    calls = []  # the justifications turned into rules
-    monkeypatch.setattr(forest, name, lambda ch, h, js: calls.extend(js) or steps(ch, h, js))
+        c = run_tabular(compile_(g), tokens)
+    rules_of = build_forest_items(c)._chart[1]
+    eager = {ForestRule._make(step) for h in c.justifications for step in rules_of(h)}
+    # Builders read a head's justifications through `get`, once per call.
+    c.justifications = counted = _CountingJustifications(c.justifications)
     full = build_forest_items(c)
     reduced = reduce_forest(full)
-    assert len(calls) == made
+    assert counted.read == made
     assert made == sum(len(c.justifications[h]) for h in reduced._graph[1])
     assert sum(map(len, c.justifications.values())) == total > 5 * made
     assert len(reduced.rules) == made  # one rule per justification here
     # Reading the full rules makes every rule, as an eager build did.
-    eager = {ForestRule(h, *step) for h, js in c.justifications.items() for step in steps(c, h, js)}
     assert set(full.rules) == eager and len(full.rules) == len(eager)
-    assert len(calls) == made + total
+    assert counted.read == made + total
 
 
 def test_forest_from_wrong_object():
@@ -469,6 +480,20 @@ def test_chart_forest_reduces_like_copy_built_by_hand(rules, tokens):
         again = reduce_forest(reduced)
         assert again == reduced
         assert _walk_of(again) == _walk_of(reduced)
+
+
+@given(RANDOM_GRAMMARS, st.lists(st.sampled_from("ab"), max_size=4))
+def test_chart_forest_rules_are_views_of_its_steps(rules, tokens):
+    # A chart forest's steps are plain tuples; `rules`, full or reduced,
+    # gives their `ForestRule` views, and the steps count and extract as a
+    # copy of those views built by hand does.
+    for f in _chart_forests(rules, tokens):
+        for r in f.rules + reduce_forest(f).rules:
+            assert type(r) is ForestRule
+            assert (r.head, r.body, r.rule) == tuple(r)
+        plain = ParseForest(f.rules, f.start, f.origin, f.grammar)
+        assert count_trees(f) == count_trees(plain)
+        assert extract_trees(f, 3) == extract_trees(plain, 3)
 
 
 @st.composite
