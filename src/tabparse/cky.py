@@ -3,7 +3,9 @@
 T[j,i] holds the nonterminals deriving tokens j..i, filled column by
 column: for each end position, first the lexical entry, then wider spans in
 order of decreasing start, so both halves of every binary split are ready
-when it is tried.
+when it is tried.  A split with an empty half is skipped; the binary rules
+are tried in grammar order, so each entry's justifications come in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ def cky_parse(g: Grammar, tokens) -> CkyChart:
     n = len(tokens)
     c = CkyChart(g, tokens)
     lexical = defaultdict(list)
-    binary = []
+    binary = []  # (rule, left child, right child), in grammar order
     for rule in g.rules:
         if len(rule.rhs) == 1:
             lexical[rule.rhs[0]].append(rule)
         else:
-            binary.append(rule)
+            binary.append((rule, *rule.rhs))
 
     def add(start: int, symbol: str, end: int, just: CkyJustification) -> None:
         c.fired += 1
@@ -53,10 +55,14 @@ def cky_parse(g: Grammar, tokens) -> CkyChart:
             add(i - 1, rule.lhs, i, CkyJustification(rule, None))
         for k in range(i - 2, -1, -1):
             for j in range(k + 1, i):
-                left = c.cells.get((k, j), ())
-                right = c.cells.get((j, i), ())
-                for rule in binary:
-                    if rule.rhs[0] in left and rule.rhs[1] in right:
+                left = c.cells.get((k, j))
+                if not left:
+                    continue
+                right = c.cells.get((j, i))
+                if not right:
+                    continue
+                for rule, b, d in binary:
+                    if b in left and d in right:
                         add(k, rule.lhs, i, CkyJustification(rule, j))
     return c
 

@@ -22,6 +22,14 @@ justifications carry no antecedents.  `fired` counts the recorded
 justifications, one per inference: repeats of a push for each further arc
 into its vertex are not made.
 
+Everything that fires on a popped arc is found through the symbol on its
+top: one trigger record per upper symbol holds that symbol's pushes, swaps
+and F3 pops (`_trigger_tables`).  An F3 pop pairs two arcs, and either may
+be popped last.  The arc beneath finds its pairs through an index of the
+arcs F3 transitions pop, keyed by (lower, lower_pos, upper), so it looks up
+its partners instead of scanning every arc above its top vertex; the pair
+finds the arcs beneath through the arcs ending at its lower vertex.
+
 An F7 transition pops more than two symbols, so it fires on a linked path
 of arcs that spells them out.  So do the lazy reductions of a shift-reduce
 machine, one arc per right-hand-side symbol, and its acceptance.  The
@@ -125,7 +133,10 @@ class Chart(Deduction):
         super().__init__(tokens, axiom, ("axiom", (), None), agenda_order)
         self.pda = pda
         self.by_upper_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
+        # Filled only for machines with multi-pop entries, for `_chains`.
         self.by_lower_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
+        # Arcs some F3 transition pops as its pair, by (lower, lower_pos, upper).
+        self.pairs_at: dict[tuple[Any, int, Any], list[tuple]] = defaultdict(list)
 
     def accept_item(self) -> Item:
         n = len(self.tokens)
@@ -202,16 +213,22 @@ def _chains(c: Chart, item: tuple, uppers, lowers) -> list[tuple]:
 
 def _trigger_tables(p: Pda) -> tuple:
     """The engine's indexes, built from the machine alone, once per machine
-    and kept on it.
+    and kept on it: one trigger record per upper symbol, the default record
+    and the multi-pop table.
 
-    `pushes` maps an upper symbol to the F1, F6 and F4 entries (token or
-    None, pushed, step, justification) that push onto it, in that family
-    order; they are positional, so their justifications are built here
-    once.  F6 pops nothing, so its entries are also the default for any
-    upper symbol.  `swaps` maps an upper symbol to the F2 then F5 entries
+    A record holds, for the symbol on top of a popped arc, everything that
+    fires on it: (pushes, swaps, f3, f3_first).  `pushes` are the F1, F6
+    and F4 entries (token or None, pushed, step, justification) that push
+    onto it, in that family order; they are positional, so their
+    justifications are built here once.  `swaps` are the F2 then F5 entries
     (kept lower or None, token or None, replacement, step, tag, transition)
     that replace it; a swap that keeps the symbol below the top names it as
-    a filter.
+    a filter.  `f3` maps a lower symbol to the F3 entries (pushed,
+    transition) that pop the arc (lower, symbol) as their pair, and
+    `f3_first` lists the F3 entries (upper of the pair, pushed, transition)
+    whose pair has the symbol as its lower end, so the popped arc is the
+    one beneath that pair.  Symbols no transition names share the default
+    record, which holds only the F6 pushes, since F6 pops nothing.
 
     `pops` is the multi-pop table: literal F7 transitions, then the lazy
     reductions and acceptance of a shift-reduce machine, all of which fire
@@ -225,11 +242,10 @@ def _trigger_tables(p: Pda) -> tuple:
     own entries (`lr.Reduction.pop_entries`)."""
     if p._triggers is not None:
         return p._triggers
-    f1, f2, f4, f5 = (defaultdict(list) for _ in range(4))  # upper -> entries
+    f1, f2, f4, f5, f3_first = (defaultdict(list) for _ in range(5))  # upper -> entries
     family = {"F1": f1, "F2": f2, "F4": f4, "F5": f5}
     f6 = []
-    f3 = defaultdict(list)  # popped pair -> (pushed, t), both slots below
-    f3_first = defaultdict(list)  # q1 -> (q2, pushed, t)
+    f3 = defaultdict(lambda: defaultdict(list))  # upper -> lower -> (pushed, t)
     pops = defaultdict(list)  # popped arc -> multi-pop entries
     for t in dict.fromkeys(p.transitions):
         shape = classify_transition(t)
@@ -240,7 +256,7 @@ def _trigger_tables(p: Pda) -> tuple:
             keep = t.pop[0] if len(t.pop) == 2 else None
             family[shape][t.pop[-1]].append((keep, a, t.push[-1], step, shape, t))
         elif shape == "F3":
-            f3[t.pop].append((t.push[0], t))
+            f3[t.pop[1]][t.pop[0]].append((t.push[0], t))
             f3_first[t.pop[0]].append((t.pop[1], t.push[0], t))
         elif shape == "F6":
             f6.append((a, t.push[0], step, ("F6", (), t)))
@@ -256,9 +272,11 @@ def _trigger_tables(p: Pda) -> tuple:
     for red in p.reductions:
         for arc, entry in red.pop_entries(BOTTOM):
             pops[arc].append(entry)
-    pushes = {up: f1[up] + f6 + f4[up] for up in {**f1, **f4}}
-    swaps = {up: f2[up] + f5[up] for up in {**f2, **f5}}
-    tables = (pushes, f6, swaps, f3, f3_first, dict(pops))
+    records = {
+        up: (f1[up] + f6 + f4[up], f2[up] + f5[up], dict(f3[up]), f3_first[up])
+        for up in {**f1, **f2, **f4, **f5, **f3, **f3_first}
+    }
+    tables = (records, (f6, (), {}, ()), dict(pops))
     object.__setattr__(p, "_triggers", tables)
     return tables
 
@@ -269,22 +287,30 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     c = Chart(p, tokens, agenda_order)
     tokens = c.tokens
     n = len(tokens)
-    pushes, f6, swaps, f3, f3_first, pops = _trigger_tables(p)
+    records, default, pops = _trigger_tables(p)
 
     justifications, push = c.justifications, c.agenda.append
-    by_upper_at, by_lower_at = c.by_upper_at, c.by_lower_at
+    by_upper_at, by_lower_at, pairs_at = c.by_upper_at, c.by_lower_at, c.pairs_at
 
     for item in c.popped():
         low, j, up, i = item
+        pushes, swaps, f3, f3_first = records.get(up, default)
         arcs_in = by_upper_at[(up, i)]
         arcs_in.append(item)
-        by_lower_at[(low, j)].append(item)
+        # Only `_chains` walks arcs forward from their lower vertex.
+        if pops:
+            by_lower_at[(low, j)].append(item)
+        # The F3 transitions that pop `item` as their pair, if any; only
+        # such arcs are indexed for the F3 loop from below.
+        as_pair = f3.get(low)
+        if as_pair is not None:
+            pairs_at[(low, j, up)].append(item)
         tok = tokens[i] if i < n else None
 
         # Positional: a push onto vertex (up, i) needs only that the vertex
         # exists, so the first arc ending there fires it, once per vertex.
         if len(arcs_in) == 1:
-            for a, pushed, step, just in pushes.get(up, f6):
+            for a, pushed, step, just in pushes:
                 if a is None or a == tok:
                     new = (up, i, pushed, i + step)
                     if new in justifications:
@@ -293,7 +319,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
                         justifications[new] = [just]
                         push(new)
 
-        for keep, a, repl, step, tag, t in swaps.get(up, ()):
+        for keep, a, repl, step, tag, t in swaps:
             if (a is None or a == tok) and (keep is None or keep == low):
                 new, just = (low, j, repl, i + step), (tag, (item,), t)
                 if new in justifications:
@@ -305,17 +331,18 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
         # Pops need a partner: `item` can be the popped pair itself or the
         # arc beneath it.  An item (q, j, q, j) can be both at once; the
         # first loop matches it with itself, so the second skips that pair.
-        for q3, t in f3.get((low, up), ()):
-            for below in by_upper_at.get((low, j), ()):
-                new, just = (below[0], below[1], q3, i), ("F3", (below, item), t)
-                if new in justifications:
-                    justifications[new].append(just)
-                else:
-                    justifications[new] = [just]
-                    push(new)
-        for q2, q3, t in f3_first.get(up, ()):
-            for pair in by_lower_at.get((up, i), ()):
-                if pair[2] == q2 and pair is not item:
+        if as_pair is not None:
+            for q3, t in as_pair:
+                for below in by_upper_at.get((low, j), ()):
+                    new, just = (below[0], below[1], q3, i), ("F3", (below, item), t)
+                    if new in justifications:
+                        justifications[new].append(just)
+                    else:
+                        justifications[new] = [just]
+                        push(new)
+        for q2, q3, t in f3_first:
+            for pair in pairs_at.get((up, i, q2), ()):
+                if pair is not item:
                     new, just = (low, j, q3, pair[3]), ("F3", (item, pair), t)
                     if new in justifications:
                         justifications[new].append(just)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
+from tabparse.cky import cky_parse
 from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import (
     BOTTOM,
@@ -506,6 +507,52 @@ def test_multipop_first_cell_any_lower():
     replay_justifications(c)
 
 
+def test_f3_partners_found_from_below():
+    # Two F3 transitions pop x with different second symbols, y and z; a
+    # third arc above (x, 1), topped by w, is no pair at all.  Arc
+    # (t, 0, x, 1) is a second arc into vertex (x, 1); it comes through an
+    # F5 swap, so under fifo it is popped after the pairs above that vertex,
+    # and only the F3 loop from below can pair it with them.
+    pop_y = T(("x", "y"), (), ("f",))
+    pop_z = T(("x", "z"), (), ("g",))
+    p = Pda(
+        frozenset("ab"),
+        frozenset("stuwxyzfg"),
+        "s",
+        "f",
+        (
+            T(("s",), ("a",), ("s", "x")),
+            T(("s",), (), ("s", "t")),
+            T(("t",), ("a",), ("t", "u")),
+            T(("u",), (), ("x",)),
+            T(("x",), ("b",), ("x", "y")),
+            T(("x",), ("b",), ("x", "w")),
+            T(("x",), ("b",), ("x", "z")),
+            pop_y,
+            pop_z,
+        ),
+    )
+    charts = [run_tabular(p, list("ab"), agenda_order=order) for order in ("lifo", "fifo")]
+    c = assert_fires_once(lambda order: charts[order == "fifo"])
+    order = list(charts[1].items)
+    late = ("t", 0, "x", 1)
+    assert order.index(late) > order.index(("x", 1, "z", 2)) > order.index(("x", 1, "y", 2))
+    for chart in charts:
+        js = chart.justifications
+        for below in (("s", 0, "x", 1), late):
+            assert js[below[:2] + ("f", 2)] == [("F3", (below, ("x", 1, "y", 2)), pop_y)]
+            assert js[below[:2] + ("g", 2)] == [("F3", (below, ("x", 1, "z", 2)), pop_z)]
+        # Only arcs some F3 transition pops as its pair are indexed as pairs,
+        # and a machine without multi-pop entries indexes no arc by its
+        # lower vertex.
+        assert dict(chart.pairs_at) == {
+            ("x", 1, "y"): [("x", 1, "y", 2)],
+            ("x", 1, "z"): [("x", 1, "z", 2)],
+        }
+        assert not chart.by_lower_at
+    replay_justifications(c)
+
+
 @given(RANDOM_GRAMMARS, st.lists(st.sampled_from("ab"), max_size=4))
 def test_inferences_fire_once(rules, tokens):
     g = Grammar(tuple(rules), rules[0].lhs)
@@ -630,3 +677,62 @@ def test_mixed_families_fire_in_order():
     ]
     tags = [justs[0][0] for justs in list(c.justifications.values())[1:6]]
     assert tags == ["F1", "F6", "F4", "F2", "F5"]
+
+
+DEMO_GRAMMARS = Path(__file__).resolve().parents[1] / "demos/grammars"
+CHART_GOLDEN = Path(__file__).resolve().parent / "golden/engine-charts.txt"
+CHART_INPUTS = {
+    "cnf.cfg": ("a a b b", "a b a", "b a"),
+    "expr.cfg": ("a + a * a", "a * a", "a +"),
+    "sps.cfg": ("a + a + a", "a", "+ a"),
+}
+
+
+def _render_chart(title, c, item_text, just_text):
+    lines = [f"== {title}: {len(c.justifications)} items, fired {c.fired}"]
+    for item, justs in c.justifications.items():
+        lines.append(item_text(item))
+        lines.extend(f"  {just_text(just)}" for just in justs)
+    return lines
+
+
+def _engine_just(just):
+    tag, ants, via = just
+    text = " ; ".join(str(Item._make(a)) for a in ants)
+    return f"{tag} [{text}] {'-' if via is None else via}"
+
+
+def engine_chart_text():
+    """Every engine chart of the demo grammars in chart order: each item,
+    then its justifications in the order they were recorded."""
+    lines = []
+    for name, inputs in CHART_INPUTS.items():
+        g = parse_grammar((DEMO_GRAMMARS / name).read_text(encoding="utf-8"))
+        aug = augment_start(g)
+        machines = {"topdown": compile_topdown(aug)}
+        if is_cnf(g):
+            machines["bottomup"] = compile_bottomup(g)
+        machines["glr"] = compile_lr(aug)
+        machines["glr-binarized"] = binarize_reductions(machines["glr"])
+        for text in inputs:
+            for alg, p in machines.items():
+                for order in ("lifo", "fifo"):
+                    c = run_tabular(p, text.split(), agenda_order=order)
+                    title = f"{alg} {name} {text!r} {order}"
+                    lines += _render_chart(title, c, lambda it: str(Item._make(it)), _engine_just)
+            if is_cnf(g):
+                c = cky_parse(g, text.split())
+                lines += _render_chart(
+                    f"cky {name} {text!r}",
+                    c,
+                    lambda key: "T[{0},{2}] {1}".format(*key),
+                    lambda just: f"{just.rule} split {just.split}",
+                )
+    return "\n".join(lines) + "\n"
+
+
+def test_engine_charts_golden():
+    # Pins chart order, justification order and `fired` for every engine
+    # machine and CKY: the engine's trigger tables and partner indexes may
+    # change how partners are found, never the order in which they fire.
+    assert engine_chart_text() == CHART_GOLDEN.read_text(encoding="utf-8")
