@@ -26,9 +26,11 @@ Everything that fires on a popped arc is found through the symbol on its
 top: one trigger record per upper symbol holds that symbol's pushes, swaps
 and F3 pops (`_trigger_tables`).  An F3 pop pairs two arcs, and either may
 be popped last.  The arc beneath finds its pairs through an index of the
-arcs F3 transitions pop, keyed by (lower, lower_pos, upper), so it looks up
-its partners instead of scanning every arc above its top vertex; the pair
-finds the arcs beneath through the arcs ending at its lower vertex.
+arcs F3 transitions pop, keyed by their lower vertex (lower, lower_pos) and
+then by upper symbol, so it makes one lookup for its top vertex and skips
+the F3 loop when no pair rests there, instead of scanning every arc above
+that vertex; the pair finds the arcs beneath through the arcs ending at
+its lower vertex.
 
 An F7 transition pops more than two symbols, so it fires on a linked path
 of arcs that spells them out.  So do the lazy reductions of a shift-reduce
@@ -135,8 +137,11 @@ class Chart(Deduction):
         self.by_upper_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
         # Filled only for machines with multi-pop entries, for `_chains`.
         self.by_lower_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
-        # Arcs some F3 transition pops as its pair, by (lower, lower_pos, upper).
-        self.pairs_at: dict[tuple[Any, int, Any], list[tuple]] = defaultdict(list)
+        # Arcs some F3 transition pops as its pair, by (lower, lower_pos),
+        # then by upper symbol.
+        self.pairs_at: dict[tuple[Any, int], dict[Any, list[tuple]]] = defaultdict(
+            lambda: defaultdict(list)
+        )
 
     def accept_item(self) -> Item:
         n = len(self.tokens)
@@ -213,8 +218,8 @@ def _chains(c: Chart, item: tuple, uppers, lowers) -> list[tuple]:
 
 def _trigger_tables(p: Pda) -> tuple:
     """The engine's indexes, built from the machine alone, once per machine
-    and kept on it: one trigger record per upper symbol, the default record
-    and the multi-pop table.
+    and kept on it: one trigger record per upper symbol, the default record,
+    the multi-pop table and the repeat flag.
 
     A record holds, for the symbol on top of a popped arc, everything that
     fires on it: (pushes, swaps, f3, f3_first).  `pushes` are the F1, F6
@@ -239,7 +244,15 @@ def _trigger_tables(p: Pda) -> tuple:
     pushes what `tops` maps that lower symbol to.  The first cell of a
     single-push F7 path may have any lower symbol, so its entry is keyed
     under, and maps, every one.  Reductions, in machine order, add their
-    own entries (`lr.Reduction.pop_entries`)."""
+    own entries (`lr.Reduction.pop_entries`).
+
+    `repeats` says whether two justifications of one item can make the same
+    forest step: the same antecedents and tokens, by two transitions that
+    are equal once a kept lower symbol is stripped, one keeping it and the
+    other not (F1 beside F6, the full beside the bare form of F2 or F5, a
+    two-push F7 beside an F3 or a one-push F7), or by lazy reductions beside
+    F3, F5 or F7 transitions.  A transition keeps its lower symbol when it
+    pushes two symbols, the first being the one it pops first."""
     if p._triggers is not None:
         return p._triggers
     f1, f2, f4, f5, f3_first = (defaultdict(list) for _ in range(5))  # upper -> entries
@@ -247,8 +260,13 @@ def _trigger_tables(p: Pda) -> tuple:
     f6 = []
     f3 = defaultdict(lambda: defaultdict(list))  # upper -> lower -> (pushed, t)
     pops = defaultdict(list)  # popped arc -> multi-pop entries
-    for t in dict.fromkeys(p.transitions):
+    transitions = dict.fromkeys(p.transitions)
+    shapes, stripped = set(), set()  # transitions less their kept lower symbol
+    for t in transitions:
         shape = classify_transition(t)
+        shapes.add(shape)
+        if len(t.push) == 2 and t.push[0] == t.pop[0]:
+            stripped.add(Transition(t.pop[1:], t.read, t.push[1:]))
         a, step = (t.read[0], 1) if t.read else (None, 0)
         if shape in ("F1", "F4"):
             family[shape][t.pop[0]].append((a, t.push[1], step, (shape, (), t)))
@@ -276,7 +294,10 @@ def _trigger_tables(p: Pda) -> tuple:
         up: (f1[up] + f6 + f4[up], f2[up] + f5[up], dict(f3[up]), f3_first[up])
         for up in {**f1, **f2, **f4, **f5, **f3, **f3_first}
     }
-    tables = (records, (f6, (), {}, ()), dict(pops))
+    repeats = not stripped.isdisjoint(transitions) or bool(
+        p.reductions and shapes & {"F3", "F5", "F7"}
+    )
+    tables = (records, (f6, (), {}, ()), dict(pops), repeats)
     object.__setattr__(p, "_triggers", tables)
     return tables
 
@@ -287,7 +308,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     c = Chart(p, tokens, agenda_order)
     tokens = c.tokens
     n = len(tokens)
-    records, default, pops = _trigger_tables(p)
+    records, default, pops, _ = _trigger_tables(p)
 
     justifications, push = c.justifications, c.agenda.append
     by_upper_at, by_lower_at, pairs_at = c.by_upper_at, c.by_lower_at, c.pairs_at
@@ -295,7 +316,8 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     for item in c.popped():
         low, j, up, i = item
         pushes, swaps, f3, f3_first = records.get(up, default)
-        arcs_in = by_upper_at[(up, i)]
+        top = (up, i)
+        arcs_in = by_upper_at[top]
         arcs_in.append(item)
         # Only `_chains` walks arcs forward from their lower vertex.
         if pops:
@@ -304,7 +326,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
         # such arcs are indexed for the F3 loop from below.
         as_pair = f3.get(low)
         if as_pair is not None:
-            pairs_at[(low, j, up)].append(item)
+            pairs_at[(low, j)][up].append(item)
         tok = tokens[i] if i < n else None
 
         # Positional: a push onto vertex (up, i) needs only that the vertex
@@ -340,15 +362,17 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
                     else:
                         justifications[new] = [just]
                         push(new)
-        for q2, q3, t in f3_first:
-            for pair in pairs_at.get((up, i, q2), ()):
-                if pair is not item:
-                    new, just = (low, j, q3, pair[3]), ("F3", (item, pair), t)
-                    if new in justifications:
-                        justifications[new].append(just)
-                    else:
-                        justifications[new] = [just]
-                        push(new)
+        above = pairs_at.get(top) if f3_first else None
+        if above:
+            for q2, q3, t in f3_first:
+                for pair in above.get(q2, ()):
+                    if pair is not item:
+                        new, just = (low, j, q3, pair[3]), ("F3", (item, pair), t)
+                        if new in justifications:
+                            justifications[new].append(just)
+                        else:
+                            justifications[new] = [just]
+                            push(new)
 
         # Multi-pop: F7, reductions and acceptance, on each path through
         # `item` in each cell it can fill.  A machine with none of them

@@ -10,14 +10,21 @@ a tree of the original grammar.  Read this way a chart is a shared
 forest grammar (Billot & Lang 1989) in which every nonterminal derives a
 token string: an entry's first justification uses only entries derived
 before it, and its forest body is a subset of those antecedents.  So a
-chart forest makes a head's steps, plain (head, body, rule) tuples, in
-one call when first asked, and its full `rules`, their `ForestRule`
-views in chart order, only when read; `reduce_forest` makes none for an
-entry the start node does not reach.  Counting and extraction never
-enumerate shared substructure twice, so they stay cheap even when the
-number of trees is astronomical or infinite.  Both reuse the by-head
-index, children-first order and cycle flag that `reduce_forest` finds in
-its walk, and both run on explicit stacks, so trees may be of any depth.
+chart forest makes a head's steps in one call when first asked, and its
+full `rules`, their `ForestRule` views in chart order, only when read;
+`reduce_forest` makes none for an entry the start node does not reach.
+A step is a plain tuple (head, body, rule, kids): `kids` are the body's
+chart nodes in order, the justification's own antecedent tuple where it
+has one, so the walk, counting and search read children without testing
+body entries for tokens.  A head's steps are one per justification, and
+repeats are dropped only where two justifications can make one step:
+Earley's initial item, predicted again where the start symbol occurs in
+a rule body, and machines whose `engine._trigger_tables` flag repeats.
+Counting and extraction never enumerate shared substructure twice, so
+they stay cheap even when the number of trees is astronomical or
+infinite.  Both reuse the by-head index, children-first order and cycle
+flag that `reduce_forest` finds in its walk, and both run on explicit
+stacks, so trees may be of any depth.
 
 The nodes of a forest over an agenda chart are the chart's own entries,
 plain tuples (see `engine` and `earley`); they and the steps are read by
@@ -33,7 +40,7 @@ from typing import Any, NamedTuple, Optional
 
 from .cky import CkyChart
 from .earley import EarleyChart, EarleyItem
-from .engine import Chart, Item
+from .engine import Chart, Item, _trigger_tables
 from .grammar import Grammar, Rule
 from .trees import ParseTree, leaf, node
 
@@ -52,7 +59,8 @@ class SpanNode(NamedTuple):
 
 
 class ForestRule(NamedTuple):
-    """A forest step by name; a chart forest's steps are plain tuples."""
+    """A forest rule by name; a forest's steps are plain tuples that add
+    the body's child nodes (`kids`) to these fields."""
 
     head: Any
     body: tuple  # chart nodes and raw token strings
@@ -75,7 +83,7 @@ class ParseForest:
         if name != "rules" or self._chart is None:
             raise AttributeError(name)
         heads, rules_of = self._chart
-        steps = (r for h in heads() for r in rules_of(h) or ())
+        steps = (r[:3] for h in heads() for r in rules_of(h) or ())
         object.__setattr__(self, name, tuple(map(ForestRule._make, steps)))
         return self.rules
 
@@ -88,12 +96,15 @@ def _chart_forest(heads, rules_of, start, origin: str, grammar) -> ParseForest:
 
 def build_forest_cky(c: CkyChart) -> ParseForest:
     """Forest over the chart's spans, one step per justification and one per
-    token, as plain (head, body, rule) tuples; a span's are made when first
-    asked for.  The full rules, token nodes first and then in chart order,
-    are their views, made when read.  A token spelled like a nonterminal
-    gets no token node: that span is the nonterminal's."""
+    token, as plain (head, body, rule, kids) tuples; a span's are made when
+    first asked for.  A grammar has no duplicate rules, so no two steps of
+    a span are equal.  The full rules, token nodes first and then in chart
+    order, are their views, made when read.  A token spelled like a
+    nonterminal gets no token node: that span is the nonterminal's."""
     spans = (SpanNode(i, t, i + 1) for i, t in enumerate(c.tokens))
-    tokens = {s: [(s, (s.symbol,), None)] for s in spans if s.symbol not in c.grammar.nonterminals}
+    tokens = {
+        s: [(s, (s.symbol,), None, ())] for s in spans if s.symbol not in c.grammar.nonterminals
+    }
     justs = c.justifications
 
     def rules_of(span: SpanNode) -> Optional[list]:
@@ -101,12 +112,14 @@ def build_forest_cky(c: CkyChart) -> ParseForest:
         if js is None:
             return tokens.get(span)
         i, _, k = span
-        steps = [
-            (span, (SpanNode(i, r.rhs[0], k),), r) if j is None
-            else (span, (SpanNode(i, r.rhs[0], j), SpanNode(j, r.rhs[1], k)), r)
-            for r, j in js
-        ]
-        return list(dict.fromkeys(steps)) if len(steps) > 1 else steps
+        steps = []
+        for r, j in js:
+            if j is None:
+                body = (SpanNode(i, r.rhs[0], k),)
+            else:
+                body = (SpanNode(i, r.rhs[0], j), SpanNode(j, r.rhs[1], k))
+            steps.append((span, body, r, body))
+        return steps
 
     heads = lambda: itertools.chain(tokens, map(SpanNode._make, justs))
     start = SpanNode(0, c.grammar.start, len(c.tokens))
@@ -115,28 +128,31 @@ def build_forest_cky(c: CkyChart) -> ParseForest:
 
 def build_forest_items(c) -> ParseForest:
     """Forest over the chart's own items, one step per justification: the
-    antecedents and token read, and the rule of a complete Earley item or
-    the one the machine's `completes` gives.  An item's steps are made when
-    first asked for, less repeats (Earley's initial item predicted again,
-    where the start symbol occurs in a rule body); the full rules, in the
-    order items were first derived, when read.  Nodes are chart tuples."""
+    antecedents and token read, the rule of a complete Earley item or the
+    one the machine's `completes` gives, and the antecedents again as the
+    step's kids.  An item's steps are made when first asked for, less
+    repeats where two justifications can make one step (see the module
+    docstring); the full rules, in the order items were first derived,
+    when read.  Nodes are chart tuples."""
     if not isinstance(c, (EarleyChart, Chart)):
         raise ForestError(f"cannot build a forest from {type(c).__name__}")
     justs = c.justifications
     if isinstance(c, EarleyChart):
         start, origin, grammar = c.final_item(), "earley", c.grammar
+        initial = next(iter(justs))  # the axiom, the chart's first entry
 
         def rules_of(item) -> list:
             rule = item[1].rule if item[1].is_complete else None
             steps = [
-                (item, ante if token is None else ante + (token,), rule)
+                (item, ante if token is None else ante + (token,), rule, ante)
                 for _, ante, token in justs.get(item, ())
             ]
-            return list(dict.fromkeys(steps)) if len(steps) > 1 else steps
+            # The start node is a fresh tuple, so it is compared by value.
+            return list(dict.fromkeys(steps)) if item == initial else steps
 
     else:
         start, origin, grammar = c.accept_item(), c.pda.kind, c.pda.grammar
-        completes = c.pda.completes
+        completes, repeats = c.pda.completes, _trigger_tables(c.pda)[3]
 
         def rules_of(item) -> list:
             steps = []
@@ -144,10 +160,9 @@ def build_forest_items(c) -> ParseForest:
                 if tag == "accept":
                     # Always the axiom arc (bot, 0, q0, 0): it derives nothing.
                     ante = ante[1:]
-                elif tag in ("F1", "F2", "F6"):
-                    ante += via.read
-                steps.append((item, ante, completes.get(via)))
-            return list(dict.fromkeys(steps)) if len(steps) > 1 else steps
+                body = ante + via.read if tag in ("F1", "F2", "F6") else ante
+                steps.append((item, body, completes.get(via), ante))
+            return list(dict.fromkeys(steps)) if repeats and len(steps) > 1 else steps
 
     return _chart_forest(justs.keys, rules_of, tuple(start), origin, grammar)
 
@@ -212,10 +227,12 @@ def _productive(rules) -> list[ForestRule]:
 
 
 def _lookup(rules):
-    """The rules of a head, or None, for a forest built by hand."""
-    by_head: dict[Any, list[ForestRule]] = {}
-    for r in rules:
-        by_head.setdefault(r.head, []).append(r)
+    """The steps of a head, or None, for a forest built by hand: each rule
+    with its body's nodes, the entries that are not token strings."""
+    by_head: dict[Any, list[tuple]] = {}
+    for head, body, rule in rules:
+        kids = tuple(b for b in body if not isinstance(b, str))
+        by_head.setdefault(head, []).append((head, body, rule, kids))
     return by_head.get
 
 
@@ -224,8 +241,8 @@ _CLOSE = object()  # marks, on the walk's stack, the node below it as done
 
 def _walk(start, rules_of) -> tuple[dict, list, bool]:
     """Walk depth-first from start, on an explicit stack, asking `rules_of`
-    once for the rules (or None) of each node reached: the nodes reached
-    that have rules, with them, and all nodes reached, both children first,
+    once for the steps (or None) of each node reached: the nodes reached
+    that have steps, with them, and all nodes reached, both children first,
     and whether the walk meets a cycle (an edge back to a node still open)."""
     by_head: dict = {}
     finished: dict = {}  # False while the node is open
@@ -245,13 +262,12 @@ def _walk(start, rules_of) -> tuple[dict, list, bool]:
             rules = rules_of(head) or ()
             stack += (head, rules, _CLOSE)
             for r in rules:
-                for b in r[1]:
-                    if not isinstance(b, str):
-                        done = finished.get(b)
-                        if done is None:
-                            stack.append(b)
-                        elif not done:
-                            cyclic = True
+                for b in r[3]:
+                    done = finished.get(b)
+                    if done is None:
+                        stack.append(b)
+                    elif not done:
+                        cyclic = True
     return by_head, order, cyclic
 
 
@@ -287,9 +303,8 @@ def count_trees(f: ParseForest) -> TreeCount:
         total = 0
         for r in by_head.get(head, ()):
             product = 1
-            for b in r[1]:
-                if not isinstance(b, str):
-                    product *= counts[b]
+            for b in r[3]:
+                product *= counts[b]
             total += product
         counts[head] = total
     return TreeCount(counts[f.start], False)
@@ -297,7 +312,7 @@ def count_trees(f: ParseForest) -> TreeCount:
 
 def _gen_trees(start, limit: int, by_head):
     """Forest trees rooted at start, at most `limit` rule applications deep,
-    each as its rules in preorder with its exact depth, in rule order with
+    each as its steps in preorder with its exact depth, in rule order with
     the leftmost choice varying slowest: a backtracking search on explicit
     stacks, so tree depth costs no recursion."""
     trail: list = []  # (rule, depth budget left at its head), in preorder
@@ -314,9 +329,8 @@ def _gen_trees(start, limit: int, by_head):
                 if i + 1 < len(rules):
                     retry.append((goals, i + 1, len(trail)))
                 trail.append((rules[i], left))
-                for b in reversed(rules[i][1]):
-                    if not isinstance(b, str):
-                        rest = (b, left - 1, rest)
+                for b in reversed(rules[i][3]):
+                    rest = (b, left - 1, rest)
                 goals, i = rest, 0
                 continue
         if not retry:
@@ -326,7 +340,7 @@ def _gen_trees(start, limit: int, by_head):
 
 
 def _choose_trees(f: ParseForest, k: int) -> list[list[tuple]]:
-    """Up to k forest trees, each as its rules in preorder."""
+    """Up to k forest trees, each as its steps in preorder."""
     by_head, order, cyclic = _graph(f)
     if not cyclic:
         found = _gen_trees(f.start, len(order) + 1, by_head)
@@ -357,7 +371,7 @@ def extract_trees(f: ParseForest, k: int) -> list[ParseTree]:
 
 
 def _edit(f: ParseForest, trail: list[tuple]) -> ParseTree:
-    """Fold a forest tree, given as its rules in preorder, children first,
+    """Fold a forest tree, given as its steps in preorder, children first,
     into the list of grammar trees each node yields: a token yields its
     leaf, and a step the trees of its body in order, as one node of the
     rule it completes or, when it completes none, as they are.  So spines
@@ -365,7 +379,7 @@ def _edit(f: ParseForest, trail: list[tuple]) -> ParseTree:
     the node above.  The start node yields one tree, unless no step names
     a rule (a machine built by hand), which raises ForestError."""
     done: list = []
-    for _, body, rule in reversed(trail):
+    for _, body, rule, _ in reversed(trail):
         kids: list = []
         for b in body:
             if isinstance(b, str):

@@ -546,8 +546,7 @@ def test_f3_partners_found_from_below():
         # and a machine without multi-pop entries indexes no arc by its
         # lower vertex.
         assert dict(chart.pairs_at) == {
-            ("x", 1, "y"): [("x", 1, "y", 2)],
-            ("x", 1, "z"): [("x", 1, "z", 2)],
+            ("x", 1): {"y": [("x", 1, "y", 2)], "z": [("x", 1, "z", 2)]},
         }
         assert not chart.by_lower_at
     replay_justifications(c)

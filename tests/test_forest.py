@@ -16,12 +16,13 @@ from conftest import RANDOM_GRAMMARS
 from tabparse import forest
 from tabparse.cky import cky_parse
 from tabparse.earley import EarleyItem, earley_parse
-from tabparse.engine import run_tabular
+from tabparse.engine import _trigger_tables, run_tabular
 from tabparse.forest import (
     ForestError,
     ForestRule,
     ParseForest,
     SpanNode,
+    TreeCount,
     build_forest_cky,
     build_forest_items,
     count_trees,
@@ -339,7 +340,7 @@ def test_reduce_makes_only_rules_it_keeps(algorithm, made, total):
         compile_ = compile_topdown if algorithm == "topdown" else compile_lr
         c = run_tabular(compile_(g), tokens)
     rules_of = build_forest_items(c)._chart[1]
-    eager = {ForestRule._make(step) for h in c.justifications for step in rules_of(h)}
+    eager = {ForestRule._make(step[:3]) for h in c.justifications for step in rules_of(h)}
     # Builders read a head's justifications through `get`, once per call.
     c.justifications = counted = _CountingJustifications(c.justifications)
     full = build_forest_items(c)
@@ -363,6 +364,82 @@ def test_forest_rule_dedup():
     r1 = ForestRule("h", ("x",), None)
     r2 = ForestRule("h", ("x",), None)
     assert r1 == r2 and len({r1, r2}) == 1
+
+
+T = Transition
+# Hand machines with two transitions that make one forest step on one item:
+# the second is the first less its kept lower symbol.  Each makes that step
+# twice, once by each transition, and accepts its input in one way.
+_REPEAT_MACHINES = {
+    "F1-beside-F6": ("a", [T(("s",), ("a",), ("s", "x")), T((), ("a",), ("x",))], "x"),
+    "F2-full-beside-bare": (
+        "ab",
+        [
+            T(("s",), ("a",), ("s", "x")),
+            T(("s", "x"), ("b",), ("s", "y")),
+            T(("x",), ("b",), ("y",)),
+        ],
+        "y",
+    ),
+    "F3-beside-two-push-F7": (
+        "ab",
+        [
+            T(("s",), ("a",), ("s", "x")),
+            T(("x",), ("b",), ("x", "y")),
+            T(("x", "y"), (), ("z",)),
+            T(("s", "x", "y"), (), ("s", "z")),
+        ],
+        "z",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPEAT_MACHINES))
+def test_repeated_steps_are_dropped(name):
+    text, transitions, top = _REPEAT_MACHINES[name]
+    transitions = (*transitions, T(("s", top), (), ("f",)))
+    symbols = {sym for t in transitions for sym in t.pop + t.push}
+    p = Pda(frozenset(text), frozenset(symbols), "s", "f", transitions)
+    c = run_tabular(p, list(text))
+    assert _trigger_tables(p)[3]
+    full = build_forest_items(c)
+    # Exactly one pair of justifications collides, and its step is kept once.
+    assert len(full.rules) == sum(map(len, c.justifications.values())) - 1
+    assert len(set(full.rules)) == len(full.rules)
+    reduced = reduce_forest(full)
+    assert len(set(reduced.rules)) == len(reduced.rules)
+    rebuilt = ParseForest(reduced.rules, full.start, full.origin, full.grammar)
+    assert count_trees(reduced) == count_trees(rebuilt) == TreeCount(1, False)
+
+
+def test_one_step_per_justification_on_demo_grammars():
+    # No compiled machine flags repeats, and only Earley's initial item,
+    # predicted again where the start symbol occurs in a rule body, can have
+    # two justifications that make one step.
+    here = Path(__file__).resolve().parents[1] / "demos/grammars"
+    for name, text in [("expr", "a + a * a"), ("sps", "a + a + a"), ("cnf", "a a b b")]:
+        g = parse_grammar((here / f"{name}.cfg").read_text())
+        aug, tokens = augment_start(g), text.split()
+        lazy = compile_lr(aug)
+        machines = [compile_topdown(aug), lazy, binarize_reductions(lazy)]
+        charts = [earley_parse(aug, tokens)]
+        if is_cnf(g):
+            machines.append(compile_bottomup(g))
+            span = cky_parse(g, tokens)
+            assert len(build_forest_cky(span).rules) == span.fired + len(tokens)
+        for p in machines:
+            assert not _trigger_tables(p)[3]
+            charts.append(run_tabular(p, tokens))
+        for c in charts:
+            assert len(build_forest_items(c).rules) == sum(map(len, c.justifications.values()))
+    g = parse_grammar("S -> A\nA -> S b\nA -> a")
+    c = earley_parse(g, list("ab"))
+    initial = (0, DottedRule(g.rules[0], 0), 0)
+    assert [tag for tag, _, _ in c.justifications[initial]] == ["init", "predict"]
+    full = build_forest_items(c)
+    assert [r for r in full.rules if r.head == initial] == [(initial, (), None)]
+    assert len(full.rules) == sum(map(len, c.justifications.values())) - 1
+    assert count_trees(reduce_forest(full)) == TreeCount(1, False)
 
 
 def _reference_reduce(f):
@@ -750,9 +827,11 @@ def test_count_and_choice_match_references(f):
     # a forest built by hand is walked on demand, with the same result
     rebuilt = ParseForest(reduced.rules, f.start, f.origin, f.grammar)
     assert count_trees(rebuilt) == counted
+    # Steps carry their kids after the rule's three fields.
+    rules_only = lambda trees: [[step[:3] for step in t] for t in trees]
     for k in range(1, 6):
-        assert _choose_trees(reduced, k) == _reference_choose(reduced, k)
-        assert _choose_trees(rebuilt, k) == _reference_choose(reduced, k)
+        assert rules_only(_choose_trees(reduced, k)) == _reference_choose(reduced, k)
+        assert rules_only(_choose_trees(rebuilt, k)) == _reference_choose(reduced, k)
 
 
 def _is_comb(t, n, left):
