@@ -121,12 +121,10 @@ def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
                     justifications[new] = [just]
                     push(new)
         elif end < n and tokens[end] == goal:
-            new, just = (origin, dotted.advance(), end + 1), ("scan", (item,), goal)
-            if new in justifications:
-                justifications[new].append(just)
-            else:
-                justifications[new] = [just]
-                push(new)
+            # Always new: its one predecessor is this item, and items pop once.
+            new = (origin, dotted.advance(), end + 1)
+            justifications[new] = [("scan", (item,), goal)]
+            push(new)
     return c
 
 

@@ -22,9 +22,12 @@ Earley's initial item, predicted again where the start symbol occurs in
 a rule body, and machines whose `engine._trigger_tables` flag repeats.
 Counting and extraction never enumerate shared substructure twice, so
 they stay cheap even when the number of trees is astronomical or
-infinite.  Both reuse the by-head index, children-first order and cycle
-flag that `reduce_forest` finds in its walk, and both run on explicit
-stacks, so trees may be of any depth.
+infinite.  Both read one graph, the by-head index, children-first order
+and cycle flag of the walk in `reduce_forest`, reducing a forest first
+when it is not, and both run on explicit stacks, so trees may be of any
+depth.  Extraction measures depth as the fold builds the tree: a step
+adds a level when it names a grammar rule and none when it does not, so
+cyclic forests give their trees shallowest first whatever their origin.
 
 The nodes of a forest over an agenda chart are the chart's own entries,
 plain tuples (see `engine` and `earley`); they and the steps are read by
@@ -176,79 +179,89 @@ def reduce_forest(f: ParseForest) -> ParseForest:
     a token string, since its first justification uses only entries derived
     before it.  So it is walked as it is, which makes the rules of the heads
     reached and no others.  Any other forest, built by hand or rebuilt with
-    `dataclasses.replace`, first takes the counter-based worklist of
-    linear-time Horn satisfiability (Dowling & Gallier 1984): each rule
-    counts its body nodes not yet known productive, and each node, once
-    productive, decrements the rules that use it.
+    `dataclasses.replace`, first keeps the rules whose body nodes all have
+    a shallowest tree (`_lowest`), that is, derive some token string.
 
     The top-down half is a depth-first walk whose by-head index,
-    children-first order and cycle flag the returned forest keeps for
-    `count_trees` and `extract_trees`.  Both halves take time linear in the
-    total body length.  The kept rules stay in their original order; those
-    of a chart forest are made when read.
+    children-first order and cycle flag the returned forest keeps.  It is
+    the one graph `count_trees` and `extract_trees` read: given any other
+    forest, they reduce it first and keep its walk.  So a cycle they meet
+    is one every node of which derives a token string and is reached from
+    the start node.  Both halves take time linear in the total body length.
+    The kept rules stay in their original order; those of a chart forest
+    are made when read.
     """
     if f._chart is None:
-        usable = _productive(f.rules)
-        graph = _walk(f.start, _lookup(usable))
+        low = _lowest(_lookup(f.rules))
+        usable = [r for r in f.rules if all(isinstance(b, str) or b in low for b in r.body)]
+        graph = _walk([f.start], _lookup(usable).get)
         kept = tuple(r for r in usable if r.head in graph[0])
         reduced = ParseForest(kept, f.start, f.origin, f.grammar)
     else:
-        graph = _walk(f.start, f._chart[1])
+        graph = _walk([f.start], f._chart[1])
         reduced = _chart_forest(f._chart[0], graph[0].get, f.start, f.origin, f.grammar)
     object.__setattr__(reduced, "_graph", graph)
     return reduced
 
 
-def _productive(rules) -> list[ForestRule]:
-    """The rules whose body nodes all derive some token string."""
-    users: dict[Any, list[int]] = {}  # node -> rules using it, per occurrence
-    missing: list[int] = []  # body nodes of each rule not yet productive
-    productive: set = set()
-    queue: list = []
-    for i, r in enumerate(rules):
-        count = 0
-        for b in r.body:
-            if not isinstance(b, str):
-                users.setdefault(b, []).append(i)
-                count += 1
-        missing.append(count)
-        if count == 0:
-            queue.append(r.head)
-    while queue:
-        node = queue.pop()
-        if node in productive:
-            continue
-        productive.add(node)
-        for i in users.get(node, ()):
-            missing[i] -= 1
-            if missing[i] == 0:
-                queue.append(rules[i].head)
-    return [r for r, count in zip(rules, missing) if count == 0]
+def _lowest(by_head: dict) -> dict:
+    """The depth of the shallowest tree of each head that derives a token
+    string, where a step adds a level when it names a rule and none when it
+    does not; heads that derive none get no entry.  This is the
+    counter-based worklist of linear-time Horn satisfiability (Dowling &
+    Gallier 1984) run one depth at a time: each step counts its kids of
+    unknown depth, and when the last of them gets the depth being settled,
+    the step offers its head that depth, or the next one if it names a
+    rule.  A head keeps the first depth it is offered."""
+    steps = [s for ss in by_head.values() for s in ss]
+    users: dict[Any, list[int]] = {}  # node -> steps with it as a kid, per occurrence
+    now: list = []  # steps that can give their head the depth being settled
+    later: list = []  # steps that can give it the next depth
+    for i, step in enumerate(steps):
+        for b in step[3]:
+            users.setdefault(b, []).append(i)
+        if not step[3]:
+            (now if step[2] is None else later).append(step)
+    missing = [len(s[3]) for s in steps]  # kids of each step of unknown depth
+    low: dict = {}
+    depth = 0
+    while now or later:
+        if not now:
+            now, later, depth = later, [], depth + 1
+        head = now.pop()[0]
+        if head not in low:
+            low[head] = depth
+            for i in users.get(head, ()):
+                missing[i] -= 1
+                if missing[i] == 0:
+                    (now if steps[i][2] is None else later).append(steps[i])
+    return low
 
 
-def _lookup(rules):
-    """The steps of a head, or None, for a forest built by hand: each rule
-    with its body's nodes, the entries that are not token strings."""
+def _lookup(rules) -> dict:
+    """The steps of each head of a forest built by hand: each rule with its
+    body's nodes, the entries that are not token strings."""
     by_head: dict[Any, list[tuple]] = {}
     for head, body, rule in rules:
         kids = tuple(b for b in body if not isinstance(b, str))
         by_head.setdefault(head, []).append((head, body, rule, kids))
-    return by_head.get
+    return by_head
 
 
 _CLOSE = object()  # marks, on the walk's stack, the node below it as done
 
 
-def _walk(start, rules_of) -> tuple[dict, list, bool]:
-    """Walk depth-first from start, on an explicit stack, asking `rules_of`
-    once for the steps (or None) of each node reached: the nodes reached
-    that have steps, with them, and all nodes reached, both children first,
-    and whether the walk meets a cycle (an edge back to a node still open)."""
+def _walk(starts, rules_of) -> tuple[dict, list, bool]:
+    """Walk depth-first from each start, on an explicit stack, asking
+    `rules_of` once for the steps (or None) of each node reached: the nodes
+    reached that have steps, with them, and all nodes reached, both
+    children first, and whether the walk meets a cycle (an edge back to a
+    node still open)."""
     by_head: dict = {}
     finished: dict = {}  # False while the node is open
     order = []
     cyclic = False
-    stack = [start]
+    stack = list(starts)
     while stack:
         head = stack.pop()
         if head is _CLOSE:
@@ -271,14 +284,6 @@ def _walk(start, rules_of) -> tuple[dict, list, bool]:
     return by_head, order, cyclic
 
 
-def _graph(f: ParseForest) -> tuple[dict, list, bool]:
-    """The walk `reduce_forest` keeps; any other forest is walked once."""
-    if f._graph is None:
-        rules_of = _lookup(f.rules) if f._chart is None else f._chart[1]
-        object.__setattr__(f, "_graph", _walk(f.start, rules_of))
-    return f._graph
-
-
 @dataclass(frozen=True)
 class TreeCount:
     value: Optional[int]  # None when infinite
@@ -287,15 +292,14 @@ class TreeCount:
 
 def count_trees(f: ParseForest) -> TreeCount:
     """Number of trees, by one sweep over the children-first order of the
-    walk in `reduce_forest`, which a reduced forest keeps: a head's count
-    sums, over its steps, the product of their child nodes' counts.
+    walk in `reduce_forest`: a head's count sums, over its steps, the
+    product of their child nodes' counts.
 
-    Expects a reduced forest: a cycle then means the tree set is infinite.
-    Any other forest is walked once from its start node, and only a cycle
-    that walk meets marks the count infinite.  Counts are exact big
-    integers, never floats.
+    A reduced forest keeps its walk; any other forest is reduced first.  A
+    cycle of the reduced forest pumps trees without end, so it means the
+    tree set is infinite.  Counts are exact big integers, never floats.
     """
-    by_head, order, cyclic = _graph(f)
+    by_head, order, cyclic = f._graph or reduce_forest(f)._graph
     if cyclic:
         return TreeCount(None, True)
     counts: dict[Any, int] = {}
@@ -310,27 +314,36 @@ def count_trees(f: ParseForest) -> TreeCount:
     return TreeCount(counts[f.start], False)
 
 
-def _gen_trees(start, limit: int, by_head):
-    """Forest trees rooted at start, at most `limit` rule applications deep,
-    each as its steps in preorder with its exact depth, in rule order with
-    the leftmost choice varying slowest: a backtracking search on explicit
-    stacks, so tree depth costs no recursion."""
-    trail: list = []  # (rule, depth budget left at its head), in preorder
-    retry: list = []  # (goals, next rule index, trail length) per open choice
+def _gen_trees(start, limit: int, by_head, need, top: int):
+    """Forest trees rooted at start, at most `limit` deep, each as its steps
+    in preorder with its exact depth, in rule order with the leftmost choice
+    varying slowest: a backtracking search on explicit stacks, so tree depth
+    costs no recursion.  Depth is that of the edited tree: a step adds a
+    level when it names a grammar rule and none when it does not.  `need`
+    gives, per head, the depth of the shallowest tree through each of its
+    steps, and `top` the largest of them; a step that needs more than the
+    budget left is skipped, so the search meets no dead end.  With `top` 0,
+    as for an acyclic forest, whose budget never runs out, none is."""
+    trail: list = []  # (step, depth budget left below it), in preorder
+    retry: list = []  # (goals, next step index, trail length) per open choice
     goals = (start, limit, None)  # linked list of nodes left to expand
     i = 0
     while True:
         if goals is None:
-            yield [r for r, _ in trail], limit + 1 - min(left for _, left in trail)
+            yield [s for s, _ in trail], limit - min(left for _, left in trail)
         else:
             head, left, rest = goals
-            rules = by_head.get(head, ())
-            if left > 0 and i < len(rules):
-                if i + 1 < len(rules):
+            steps = by_head.get(head, ())
+            while left < top and i < len(steps) and need[head][i] > left:
+                i += 1
+            if i < len(steps):
+                if i + 1 < len(steps):
                     retry.append((goals, i + 1, len(trail)))
-                trail.append((rules[i], left))
-                for b in reversed(rules[i][3]):
-                    rest = (b, left - 1, rest)
+                step = steps[i]
+                left -= step[2] is not None
+                trail.append((step, left))
+                for b in reversed(step[3]):
+                    rest = (b, left, rest)
                 goals, i = rest, 0
                 continue
         if not retry:
@@ -341,29 +354,39 @@ def _gen_trees(start, limit: int, by_head):
 
 def _choose_trees(f: ParseForest, k: int) -> list[list[tuple]]:
     """Up to k forest trees, each as its steps in preorder."""
-    by_head, order, cyclic = _graph(f)
-    if not cyclic:
-        found = _gen_trees(f.start, len(order) + 1, by_head)
-        return [t for t, _ in itertools.islice(found, k)]
-    # A reduced cyclic forest pumps forever, so the rounds terminate; the
-    # cap is a backstop against unreduced input.
-    chosen: list = []
-    for depth in range(1, (len(order) + 2) * (k + 2) + 1):
-        found = (t for t, d in _gen_trees(f.start, depth, by_head) if d == depth)
-        chosen += itertools.islice(found, k - len(chosen))
-        if len(chosen) == k:
-            break
-    return chosen
+    by_head, order, cyclic = f._graph or reduce_forest(f)._graph
+    if cyclic:
+        # Every node of the reduced forest derives a token string and is
+        # reached, so each cycle pumps a deeper tree and the rounds end,
+        # unless the steps of some cycle name no rule: those pump trees of
+        # one depth.
+        if _walk(order, lambda h: [s for s in by_head.get(h, ()) if s[2] is None])[2]:
+            raise ForestError(f"no tree editor for {f.origin!r}: rule-less steps form a cycle")
+        low = _lowest(by_head)
+        need = {
+            h: [max((low[b] for b in s[3]), default=0) + (s[2] is not None) for s in steps]
+            for h, steps in by_head.items()
+        }
+        top = max(map(max, need.values()))
+        depths = itertools.count(low[f.start])
+        rounds = ((depth, _gen_trees(f.start, depth, by_head, need, top)) for depth in depths)
+        found = (t for depth, trees in rounds for t, d in trees if d == depth)
+    else:
+        found = (t for t, _ in _gen_trees(f.start, len(order) + 1, by_head, {}, 0))
+    return list(itertools.islice(found, k))
 
 
 def extract_trees(f: ParseForest, k: int) -> list[ParseTree]:
     """Up to k trees, edited back into trees of the original grammar.
 
-    Expects a reduced forest, and reuses the walk of `reduce_forest`.
-    Acyclic forests enumerate in rule order; cyclic ones in rounds of
-    increasing depth, so the infinitely many trees come out shallowest
-    first.  Search and editing run on explicit stacks, so no tree is too
-    deep to extract.
+    Reads the walk of `reduce_forest`, as `count_trees` does.  Acyclic
+    forests enumerate in rule order; cyclic ones in rounds of increasing
+    depth, so the infinitely many trees come out shallowest first.  Depth
+    is `trees.tree_depth` of the tree the fold builds, before an augmented
+    start node is dropped: a step adds a level when it names a grammar rule
+    and none when it does not.  A cycle whose steps all name no rule would
+    pump trees of one depth without end, so it raises ForestError.  Search
+    and editing run on explicit stacks, so no tree is too deep to extract.
     """
     if k <= 0:
         raise ValueError("tree budget must be positive")

@@ -243,16 +243,14 @@ def binarize_reductions(p: Pda) -> Pda:
             symbols.update(t.push)
 
     for red in p.reductions:
-        m, top = len(red.rule.rhs), red.state
+        top = red.state
         possible = chain_states(auto, red)
-        if m > 1:
-            aux = lambda k: AuxSymbol(red.rule, k)
-            for q in sorted(possible[m - 1], key=lambda s: s.id):
-                emit(Transition((q, red.state), (), (aux(m - 2),)))
-            for k in range(m - 2, 0, -1):
-                for q in sorted(possible[k], key=lambda s: s.id):
-                    emit(Transition((q, aux(k)), (), (aux(k - 1),)))
-            top = aux(0)
+        # Pop the cells above position 0 one at a time, top first.
+        for k in range(len(red.rule.rhs) - 1, 0, -1):
+            owed = AuxSymbol(red.rule, k - 1)
+            for q in sorted(possible[k], key=lambda s: s.id):
+                emit(Transition((q, top), (), (owed,)))
+            top = owed
         for q0 in sorted(possible[0], key=lambda s: s.id):
             for tail in red.leaves(q0):
                 emit(Transition((q0, top), (), tail), red.rule)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -43,7 +44,10 @@ from tabparse.lr import binarize_reductions, compile_lr
 from tabparse.oracle import enumerate_trees
 from tabparse.pda import Marker, Pda, Transition, simulate
 from tabparse.strategies import DottedRule, compile_bottomup, compile_topdown
-from tabparse.trees import render_tree, tree_yield, validate_tree
+from tabparse.trees import render_tree, tree_depth, tree_yield, validate_tree
+
+# Any grammar rule: the search reads only whether a step names one.
+_RULE = Rule("X", ())
 
 CNF_FOREST = """\
 ( 0 , A , 1 ) -> ( 0 , a , 1 )
@@ -205,6 +209,106 @@ def test_cyclic_forest_infinite():
     base = parse_grammar("S -> S\nS -> a")
     for t in trees:
         assert validate_tree(base, t)
+
+
+def _item_forest(algorithm, g, tokens):
+    """The reduced forest of one item-chart algorithm on an augmented grammar."""
+    if algorithm == "earley":
+        c = earley_parse(g, tokens)
+    elif algorithm == "topdown":
+        c = run_tabular(compile_topdown(g), tokens)
+    else:
+        lazy = compile_lr(g)
+        c = run_tabular(lazy if algorithm == "glr" else binarize_reductions(lazy), tokens)
+    return reduce_forest(build_forest_items(c))
+
+
+@pytest.mark.parametrize("text", ["a b b b", "b b a b"])
+def test_cyclic_binarized_trees_match_glr(text):
+    # Aux cells name no rule, so they add no depth: the binarized machine's
+    # rounds meet the lazy machine's trees at the same depths.
+    g = augment_start(
+        parse_grammar(
+            "A -> b a B\nA -> A\nA -> a A\nA -> b b b\nA -> b\nA -> A B A\n"
+            "B -> b A B\nB -> A"
+        )
+    )
+    lazy, binarized = (
+        extract_trees(_item_forest(a, g, text.split()), 3) for a in ("glr", "glr-binarized")
+    )
+    assert binarized == lazy and len(lazy) == 3
+    depths = [tree_depth(t) for t in lazy]
+    assert depths == sorted(depths)
+
+
+@pytest.mark.parametrize("algorithm", ["earley", "topdown"])
+def test_cyclic_dotted_item_trees_come_shallowest_first(algorithm):
+    # Partial dotted items and pushes name no rule: counted as forest depth
+    # they put a depth-3 tree before the depth-2 one.
+    g = augment_start(
+        parse_grammar("S -> B\nS -> B B B\nS -> B a\nS ->\nB -> a B\nB -> a\nB -> S a\nB -> B")
+    )
+    trees = extract_trees(_item_forest(algorithm, g, "a a a".split()), 3)
+    assert [tree_depth(t) for t in trees] == [2, 3, 3]
+    assert render_tree(trees[0]) == "(S (B a) (B a) (B a))"
+    g = augment_start(parse_grammar("S ->\nS -> b b\nS -> S S\nS -> S\nS -> S a b\nS -> S S S"))
+    trees = extract_trees(_item_forest(algorithm, g, "a b a b".split()), 3)
+    assert [tree_depth(t) for t in trees] == [3, 3, 3]
+
+
+def test_count_reads_the_reduced_walk():
+    # 1 -> 1 derives no token string: a walk over the unreduced rules meets
+    # its cycle, but the one tree is 0 -> a.
+    f = ParseForest(
+        (ForestRule(0, ("a",), _RULE), ForestRule(0, (1,), _RULE), ForestRule(1, (1,), _RULE)),
+        0,
+        "cky",
+        None,
+    )
+    assert count_trees(f) == count_trees(reduce_forest(f)) == TreeCount(1, False)
+    assert [r for t in _choose_trees(f, 3) for r in t] == [(0, ("a",), _RULE, ())]
+
+
+def _within_seconds(seconds, call):
+    """call(), stopped with TimeoutError if it runs longer than `seconds`."""
+
+    def stop(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_cycle_of_rule_less_steps_raises():
+    # 0 -> 1 -> 0 names no rule, so it pumps trees of one depth forever.
+    f = ParseForest(
+        (ForestRule(0, ("a",), _RULE), ForestRule(0, (1,)), ForestRule(1, (0,))), 0, "cky", None
+    )
+    reduced = reduce_forest(f)
+    assert count_trees(reduced).infinite
+    with pytest.raises(ForestError, match="editor"):
+        _within_seconds(5, lambda: extract_trees(reduced, 3))
+    # A hand-built machine whose x -> x swap loops on one cell.
+    p = Pda(
+        frozenset("a"),
+        frozenset("sxf"),
+        "s",
+        "f",
+        (
+            Transition(("s",), ("a",), ("s", "x")),
+            Transition(("x",), (), ("x",)),
+            Transition(("s", "x"), (), ("f",)),
+        ),
+    )
+    reduced = reduce_forest(build_forest_items(run_tabular(p, ["a"])))
+    assert count_trees(reduced).infinite
+    with pytest.raises(ForestError, match="editor"):
+        _within_seconds(5, lambda: extract_trees(reduced, 3))
 
 
 def test_no_editor_for_plain_machines(branching_pda, sps_grammar):
@@ -476,14 +580,21 @@ def _reference_reduce(f):
 # heads the start node cannot reach.
 _NODES = st.integers(0, 5)
 _BODY_PARTS = st.one_of(_NODES, st.sampled_from(["a", "b"]))
-_FORESTS = st.builds(
-    lambda rules, start: ParseForest(tuple(rules), start, "cky", None),
-    st.lists(
-        st.builds(ForestRule, _NODES, st.lists(_BODY_PARTS, max_size=3).map(tuple)),
-        max_size=12,
-    ),
-    _NODES,
-)
+
+
+def _forests(rules):
+    """Random forests whose steps name a rule drawn from `rules`."""
+    return st.builds(
+        lambda rules, start: ParseForest(tuple(rules), start, "cky", None),
+        st.lists(
+            st.builds(ForestRule, _NODES, st.lists(_BODY_PARTS, max_size=3).map(tuple), rules),
+            max_size=12,
+        ),
+        _NODES,
+    )
+
+
+_FORESTS = _forests(st.none())
 
 
 @given(_FORESTS)
@@ -608,23 +719,43 @@ _GRAMMAR_INPUTS = RANDOM_GRAMMARS.flatmap(
 @example(([Rule("S", ("S",)), Rule("S", ("a",))], ["a"]))  # infinitely many
 @example(([Rule("S", ())], []))  # the axiom completes the start rule
 @example(([Rule("S", ("a",))], ["S"]))  # a token spelled like the start symbol
+@example(  # cyclic; dotted items and pushes must add no depth
+    (
+        [Rule("S", rhs) for rhs in [("B",), ("B", "B", "B"), ("B", "a"), ()]]
+        + [Rule("B", rhs) for rhs in [("a", "B"), ("a",), ("S", "a"), ("B",)]],
+        list("aaa"),
+    )
+)
+@example(  # cyclic; aux cells of the binarized machine must add no depth
+    (
+        [Rule("A", tuple(rhs)) for rhs in ["baB", "A", "aA", "bbb", "b", "ABA"]]
+        + [Rule("B", tuple(rhs)) for rhs in ["bAB", "A"]],
+        list("abbb"),
+    )
+)
 def test_chart_forests_hold_the_oracle_trees(case):
     # Differential property: every algorithm's forest counts the same trees,
-    # and a finite count is the oracle's, tree for tree.  An infinite count
-    # is checked for agreement only; no trees are extracted from it, as the
-    # oracle can list only a depth-bounded part of an infinite set.
+    # and a finite count is the oracle's, tree for tree.  An infinite forest
+    # gives its trees shallowest first, so every tree the oracle finds below
+    # the deepest of them is among them.
     rules, tokens = case
+    g = Grammar(tuple(rules), rules[0].lhs)
     counts, extracted = [], []
     for f in _chart_forests(rules, tokens):
         reduced = reduce_forest(f)
         counted = count_trees(reduced)
         counts.append(counted)
-        if not counted.infinite:
-            extracted.append(extract_trees(reduced, counted.value + 1))
+        extracted.append(extract_trees(reduced, 3 if counted.infinite else counted.value + 1))
     assert all(c == counts[0] for c in counts), counts
     if counts[0].infinite:
+        for trees in extracted:
+            depths = [tree_depth(t) for t in trees]
+            assert len(trees) == 3 and depths == sorted(depths)
+            if depths[-1] > 1:
+                shallower = enumerate_trees(g, tokens, len(trees), max_depth=depths[-1] - 1)
+                assert set(shallower) <= set(trees)
         return
-    oracle = enumerate_trees(Grammar(tuple(rules), rules[0].lhs), tokens, counts[0].value + 1)
+    oracle = enumerate_trees(g, tokens, counts[0].value + 1)
     assert len(oracle) == counts[0].value
     for trees in extracted:
         assert len(trees) == len(oracle)
@@ -799,16 +930,17 @@ def _reference_choose(f, k):
     return chosen
 
 
-@given(_FORESTS)
+# Every step names a rule, so each adds a level, as `_reference_choose` counts.
+@given(_forests(st.just(_RULE)))
 @example(
     ParseForest(
         (
-            ForestRule(0, (1, 1)),
-            ForestRule(1, ("a",)),
-            ForestRule(1, (2, "b")),
-            ForestRule(2, ("a",)),
-            ForestRule(2, ()),
-            ForestRule(0, (2,)),
+            ForestRule(0, (1, 1), _RULE),
+            ForestRule(1, ("a",), _RULE),
+            ForestRule(1, (2, "b"), _RULE),
+            ForestRule(2, ("a",), _RULE),
+            ForestRule(2, (), _RULE),
+            ForestRule(0, (2,), _RULE),
         ),
         0,
         "cky",
@@ -817,7 +949,10 @@ def _reference_choose(f, k):
 )
 @example(
     ParseForest(
-        (ForestRule(0, (0, 0)), ForestRule(0, ("a",)), ForestRule(0, (0,))), 0, "cky", None
+        (ForestRule(0, (0, 0), _RULE), ForestRule(0, ("a",), _RULE), ForestRule(0, (0,), _RULE)),
+        0,
+        "cky",
+        None,
     )
 )
 def test_count_and_choice_match_references(f):
@@ -877,3 +1012,93 @@ def test_extract_deep_list(algorithm, text, n):
     # for the 2,000-token lists, 4 ms for the right list); the bound leaves
     # room for slower machines but not for extraction quadratic in depth.
     assert elapsed < 0.5
+
+
+def _reference_lowest(f):
+    """Each head's shallowest tree depth, by sweeps over the rules until no
+    depth falls; only a rule that names a grammar rule adds a level."""
+    low, changed = {}, True
+    while changed:
+        changed = False
+        for r in f.rules:
+            kids = [b for b in r.body if not isinstance(b, str)]
+            if all(b in low for b in kids):
+                d = max((low[b] for b in kids), default=0) + (r.rule is not None)
+                if d < low.get(r.head, math.inf):
+                    low[r.head], changed = d, True
+    return low
+
+
+def _reference_choose_by_rule(f, k):
+    """Up to k forest trees of a reduced forest, each as its rules in
+    preorder, where only a rule that names a grammar rule adds a level:
+    acyclic forests in rule order, cyclic ones in rounds of increasing
+    depth from 0.  ForestError when rules that name none form a cycle."""
+    by_head, spine = {}, {}
+    for r in f.rules:
+        by_head.setdefault(r.head, []).append(r)
+        nodes = [b for b in r.body if not isinstance(b, str)] if r.rule is None else []
+        spine.setdefault(r.head, set()).update(nodes)
+    try:
+        TopologicalSorter(spine).prepare()
+    except CycleError:
+        return ForestError
+
+    def trees(node_, limit):  # (rules in preorder, depth) of each tree at node_
+        if isinstance(node_, str):
+            yield (), 0
+            return
+        for r in by_head.get(node_, ()):
+            level = r.rule is not None
+            if limit >= level:
+                for rules, d in bodies(r.body, limit - level):
+                    yield (r, *rules), d + level
+
+    def bodies(parts, limit):
+        if not parts:
+            yield (), 0
+            return
+        for first, d0 in trees(parts[0], limit):
+            for rest, d1 in bodies(parts[1:], limit):
+                yield first + rest, max(d0, d1)
+
+    if _reference_count(f)[1]:
+        rounds = itertools.count()
+        found = (t for depth in rounds for t, d in trees(f.start, depth) if d == depth)
+    else:
+        found = (t for t, _ in trees(f.start, len(by_head) + 1))
+    return [list(t) for t in itertools.islice(found, k)]
+
+
+@given(_forests(st.sampled_from([None, _RULE])))
+@example(
+    ParseForest(
+        (ForestRule(0, ("a",), _RULE), ForestRule(0, (1,)), ForestRule(1, (0,))), 0, "cky", None
+    )
+)
+@example(
+    ParseForest(
+        (
+            ForestRule(0, (1, 1), _RULE),
+            ForestRule(1, ("a",)),
+            ForestRule(1, (0, "b")),
+            ForestRule(0, (1,)),
+        ),
+        0,
+        "cky",
+        None,
+    )
+)
+def test_choice_adds_depth_only_for_rule_naming_steps(f):
+    # Steps that name no rule (spines, tokens, the axiom) add no depth, as
+    # they add no node to the edited tree.
+    assert forest._lowest(forest._lookup(f.rules)) == _reference_lowest(f)
+    reduced = reduce_forest(f)
+    rules_only = lambda trees: [[step[:3] for step in t] for t in trees]
+    for k in range(1, 6):
+        expected = _reference_choose_by_rule(reduced, k)
+        if expected is ForestError:
+            with pytest.raises(ForestError, match="editor"):
+                _choose_trees(reduced, k)
+        else:
+            assert rules_only(_choose_trees(reduced, k)) == expected
