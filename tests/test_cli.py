@@ -107,9 +107,7 @@ def test_naive_bound_exceeded(run, grammars):
     code, out, err = run(
         "--grammar", grammars["cyclic"], "--input", "b", "--algorithm", "naive"
     )
-    assert code == 2
-    assert out == ""
-    assert "bounds" in err
+    assert (code, out, err) == (2, "", "tabparse: naive simulation exceeded its bounds\n")
 
 
 def test_empty_input_default(run, grammars):
@@ -449,6 +447,55 @@ def test_unusable_requests(run, grammars, argv, fragment):
     assert code == 2
     assert out == ""
     assert fragment in err
+
+
+# The CLI's capability matrix, written out: each algorithm and artifact flag
+# it refuses, with the exact error line.  Every other cell is allowed.
+_MATRIX_ALGORITHMS = ("earley", "cky", "glr", "glr-binarized", "topdown", "bottomup", "naive")
+_MATRIX_FLAGS = (
+    "--show-pda", "--show-lr", "--show-table", "--dot", "--count", "--forest", "--trees"
+)
+_REFUSED = {
+    ("earley", "--show-pda"): "--show-pda: earley builds no stack machine",
+    ("earley", "--show-lr"): "--show-lr: earley builds no shift-reduce automaton",
+    ("earley", "--dot"): "--dot: earley builds no item graph",
+    ("cky", "--show-pda"): "--show-pda: cky builds no stack machine",
+    ("cky", "--show-lr"): "--show-lr: cky builds no shift-reduce automaton",
+    ("cky", "--dot"): "--dot: cky builds no item graph",
+    ("topdown", "--show-lr"): "--show-lr: topdown builds no shift-reduce automaton",
+    ("bottomup", "--show-lr"): "--show-lr: bottomup builds no shift-reduce automaton",
+    ("naive", "--show-lr"): "--show-lr: naive builds no shift-reduce automaton",
+    ("naive", "--show-table"): "--show-table: naive simulation builds no table",
+    ("naive", "--dot"): "--dot: naive builds no item graph",
+    ("naive", "--count"): "naive simulation builds no forest",
+    ("naive", "--forest"): "naive simulation builds no forest",
+    ("naive", "--trees"): "naive simulation builds no forest",
+}
+# A grammar each algorithm takes: naive searches for about 20 s on cnf.
+_MATRIX_GRAMMAR = {"cky": "cnf", "bottomup": "cnf", "naive": "parens"}
+
+
+@pytest.mark.parametrize("flag", _MATRIX_FLAGS)
+@pytest.mark.parametrize("alg", _MATRIX_ALGORITHMS)
+def test_capability_matrix(run, grammars, tmp_path, alg, flag):
+    dot = tmp_path / "chart.dot"
+    value = {"--dot": str(dot), "--forest": "full", "--trees": "3"}.get(flag)
+    argv = ["--algorithm", alg, flag, *([value] if value else [])]
+    grammar = grammars[_MATRIX_GRAMMAR.get(alg, "expr")]
+    code, out, err = run("--grammar", grammar, "--input", "a", *argv)
+    if (alg, flag) in _REFUSED:
+        assert (code, out, err) == (2, "", f"tabparse: {_REFUSED[alg, flag]}\n")
+        assert not dot.exists()
+    else:
+        assert code in (0, 1) and err == ""
+
+
+def test_first_refusal_is_reported(run, grammars, tmp_path):
+    # Flags are checked in a fixed order, before the grammar file is read.
+    argv = ["--grammar", grammars["parens"], "--algorithm", "naive", "--show-table", "--count"]
+    assert run(*argv) == (2, "", "tabparse: --show-table: naive simulation builds no table\n")
+    argv = ["--grammar", str(tmp_path / "missing.cfg"), "--algorithm", "cky", "--dot", "x.dot"]
+    assert run(*argv) == (2, "", "tabparse: --dot: cky builds no item graph\n")
 
 
 def test_bad_grammar_file(run, tmp_path):
