@@ -8,6 +8,7 @@ recognizers, parse forests with counting and tree extraction, a brute-force
 derivability oracle and a command-line front end round it out.
 """
 
+from .algorithms import ALGORITHMS, Algorithm
 from .cky import CkyChart, CkyJustification, cky_parse, cky_recognized
 from .earley import (
     EarleyChart,

@@ -13,36 +13,14 @@ import argparse
 import sys
 import warnings
 
-from .cky import cky_parse, cky_recognized
-from .cky import dump_matrix as cky_matrix
-from .earley import dump_matrix as earley_matrix
-from .earley import earley_parse, earley_recognized
-from .engine import chart_to_dot, dump_chart, recognized, run_tabular
-from .forest import (
-    build_forest_cky,
-    build_forest_items,
-    count_trees,
-    dump_forest,
-    extract_trees,
-    reduce_forest,
-)
-from .grammar import DuplicateRuleWarning, GrammarError, augment_start, parse_grammar
-from .lr import binarize_reductions, compile_lr, dump_automaton
+from .algorithms import ALGORITHMS
+from .engine import chart_to_dot
+from .forest import count_trees, dump_forest, extract_trees, reduce_forest
+from .grammar import DuplicateRuleWarning, GrammarError, parse_grammar
+from .lr import dump_automaton
 from .oracle import recognizes
-from .pda import dump_pda, simulate
-from .strategies import compile_bottomup, compile_topdown
+from .pda import dump_pda
 from .trees import render_tree
-
-ALGORITHMS = (
-    "earley",
-    "cky",
-    "glr",
-    "glr-binarized",
-    "topdown",
-    "bottomup",
-    "naive",
-)
-NATIVE = frozenset({"earley", "cky"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,20 +76,22 @@ def _print_warning(message, *_) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     alg = args.algorithm
+    algorithm = ALGORITHMS[alg]
 
-    if args.show_pda and alg in NATIVE:
+    if args.show_pda and not algorithm.shows_pda:
         return _usage_error(f"--show-pda: {alg} builds no stack machine")
-    if args.show_lr and alg not in ("glr", "glr-binarized"):
+    if args.show_lr and not algorithm.shows_lr:
         return _usage_error(f"--show-lr: {alg} builds no shift-reduce automaton")
-    if args.show_table and alg == "naive":
-        return _usage_error("--show-table: naive simulation builds no table")
-    if args.dot and (alg in NATIVE or alg == "naive"):
+    # Only the simulation has no table and no forest.
+    if args.show_table and algorithm.dump_table is None:
+        return _usage_error(f"--show-table: {alg} simulation builds no table")
+    if args.dot and not algorithm.shows_graph:
         return _usage_error(f"--dot: {alg} builds no item graph")
     if args.trees is not None and args.trees <= 0:
         return _usage_error("--trees: K must be positive")
     wants_forest = args.forest is not None or args.count or args.trees is not None
-    if wants_forest and alg == "naive":
-        return _usage_error("naive simulation builds no forest")
+    if wants_forest and algorithm.build_forest is None:
+        return _usage_error(f"{alg} simulation builds no forest")
 
     try:
         # utf-8-sig drops a leading byte-order mark, which would otherwise
@@ -136,51 +116,24 @@ def main(argv=None) -> int:
     else:
         tokens = tuple(args.input.split())
 
-    pda = None
-    chart = None
-    table_text = None
-    forest_builder = None
     try:
-        if alg == "earley":
-            chart = earley_parse(augment_start(grammar), tokens)
-            verdict = earley_recognized(chart)
-            table_text = earley_matrix(chart)
-            forest_builder = lambda: build_forest_items(chart)
-        elif alg == "cky":
-            chart = cky_parse(grammar, tokens)
-            verdict = cky_recognized(chart)
-            table_text = cky_matrix(chart)
-            forest_builder = lambda: build_forest_cky(chart)
-        elif alg == "naive":
-            pda = compile_topdown(augment_start(grammar))
-            # Only the verdict is printed, and the first run settles it.
-            result = simulate(pda, tokens, max_runs=1)
-            if result.verdict == "bound-exceeded":
-                return _usage_error("naive simulation exceeded its bounds")
-            verdict = result.verdict == "yes"
-        else:
-            if alg == "topdown":
-                pda = compile_topdown(augment_start(grammar))
-            elif alg == "bottomup":
-                pda = compile_bottomup(grammar)
-            else:
-                pda = compile_lr(augment_start(grammar))
-                if alg == "glr-binarized":
-                    pda = binarize_reductions(pda)
-            chart = run_tabular(pda, tokens)
-            verdict = recognized(chart)
-            table_text = dump_chart(chart)
-            forest_builder = lambda: build_forest_items(chart)
+        machine = algorithm.prepare(grammar)
+        chart = algorithm.saturate(machine, tokens)
+        verdict = algorithm.recognized(chart)
     except GrammarError as err:
         return _usage_error(f"{alg}: {err}")
+    if verdict is None:
+        return _usage_error(f"{alg} simulation exceeded its bounds")
 
     print("RECOGNIZED" if verdict else "REJECTED")
     if args.show_pda:
-        print(dump_pda(pda))
+        print(dump_pda(machine))
     if args.show_lr:
-        print(dump_automaton(pda.automaton))
-    if args.show_table and table_text:
-        print(table_text)
+        print(dump_automaton(machine.automaton))
+    if args.show_table:
+        text = algorithm.dump_table(chart)
+        if text:
+            print(text)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as handle:
@@ -188,7 +141,7 @@ def main(argv=None) -> int:
         except OSError as err:
             return _usage_error(f"cannot write {args.dot}: {err.strerror}")
     if wants_forest:
-        full = forest_builder()
+        full = algorithm.build_forest(chart)
         reduced = reduce_forest(full)
         if args.forest == "full":
             text = dump_forest(full, eliminated=set(full.rules) - set(reduced.rules))

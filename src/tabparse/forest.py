@@ -74,7 +74,7 @@ class ForestRule(NamedTuple):
 class ParseForest:
     rules: tuple[ForestRule, ...]
     start: Any
-    origin: str  # "cky" | "earley" | "topdown" | "bottomup" | "lr" | ...
+    origin: str  # "cky" | "earley" | "topdown" | "bottomup" | "lr" | "lr-binarized" | "pda"
     grammar: Optional[Grammar]
     # (by-head index, nodes reached from start children first, cycle flag)
     _graph: Any = field(default=None, init=False, repr=False, compare=False)

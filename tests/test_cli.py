@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 
 import tabparse
 import tabparse.cli as cli
+from tabparse.algorithms import ALGORITHMS
 from conftest import CNF_TEXT, EXPR_TEXT, SPS_TEXT
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 EXPR_CFG = Path(__file__).resolve().parents[1] / "demos/grammars/expr.cfg"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PACKAGE_DIR = Path(tabparse.__file__).resolve().parent
@@ -386,7 +389,7 @@ _FUZZ_FLAGS = st.lists(
     text=_fuzz_grammar_text(),
     # Tokens over the terminals, the nonterminal names and one unknown symbol.
     tokens=st.lists(st.sampled_from(["S", "A", "a", "b", "c"]), max_size=4),
-    alg=st.sampled_from([alg for alg in cli.ALGORITHMS if alg != "naive"]),
+    alg=st.sampled_from([alg for alg in ALGORITHMS if alg != "naive"]),
     flags=_FUZZ_FLAGS,
     oracle=st.booleans(),
 )
@@ -600,6 +603,22 @@ def test_naive_long_right_list(tmp_path):
         env=_checkout_env(),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "RECOGNIZED\n", "")
+
+
+def test_readme_matches_the_table():
+    # The usage block lists the table's algorithms in order, and the
+    # artifact matrix says what each record can show.
+    text = README.read_text(encoding="utf-8")
+    text = text[text.index("## Command line") :]
+    assert re.search(r"--algorithm \{(.*?)\}", text).group(1).split(",") == list(ALGORITHMS)
+    rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", text, re.M))
+    assert rows == {
+        name: " | ".join(
+            "yes" if shown else "no"
+            for shown in (a.shows_pda, a.shows_lr, a.dump_table, a.shows_graph, a.build_forest)
+        )
+        for name, a in ALGORITHMS.items()
+    }
 
 
 def _scan_scripts_table(text):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
+from tabparse.algorithms import ALGORITHMS
 from tabparse.cky import cky_parse
 from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import (
@@ -353,15 +354,8 @@ def test_glr_inference_counts(expr_grammar):
 
 
 def _fired(algorithm, g, tokens):
-    g = augment_start(g)
-    if algorithm == "earley":
-        return earley_parse(g, tokens).fired
-    if algorithm == "topdown":
-        return run_tabular(compile_topdown(g), tokens).fired
-    p = compile_lr(g)
-    if algorithm == "glr-binarized":
-        p = binarize_reductions(p)
-    return run_tabular(p, tokens).fired
+    a = ALGORITHMS[algorithm]
+    return a.saturate(a.prepare(g), tokens).fired
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
 from tabparse import forest
+from tabparse.algorithms import ALGORITHMS
 from tabparse.cky import cky_parse
 from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import _trigger_tables, run_tabular
@@ -153,48 +154,42 @@ def test_count_unreduced_counts_complete_trees_only(cnf_forest):
     assert count_trees(cnf_forest).value == 5
 
 
-def test_earley_item_forest(expr_grammar):
-    c = earley_parse(expr_grammar, "a + a * a".split())
-    reduced = reduce_forest(build_forest_items(c))
-    assert count_trees(reduced).value == 2
-    trees = extract_trees(reduced, 5)
-    assert {render_tree(t) for t in trees} == {
-        "(S (E (E a) + (E (E a) * (E a))))",
-        "(S (E (E (E a) + (E a)) * (E a)))",
-    }
+EXPR_TREES = {"(S (E (E a) + (E (E a) * (E a))))", "(S (E (E (E a) + (E a)) * (E a)))"}
+
+
+def _assert_holds(reduced, g, expected):
+    """The reduced forest holds the expected trees and no other, each one
+    a tree of the grammar."""
+    assert count_trees(reduced).value == len(expected)
+    trees = extract_trees(reduced, len(expected) + 3)
+    assert {render_tree(t) for t in trees} == expected
     for t in trees:
-        assert validate_tree(expr_grammar, t)
+        assert validate_tree(g, t)
+
+
+def test_earley_item_forest(expr_grammar):
+    reduced = _item_forest("earley", expr_grammar, "a + a * a".split())
+    _assert_holds(reduced, expr_grammar, EXPR_TREES)
 
 
 def test_topdown_item_forest(expr_grammar):
-    c = run_tabular(compile_topdown(expr_grammar), "a + a * a".split())
-    reduced = reduce_forest(build_forest_items(c))
-    assert count_trees(reduced).value == 2
-    assert {render_tree(t) for t in extract_trees(reduced, 5)} == {
-        "(S (E (E a) + (E (E a) * (E a))))",
-        "(S (E (E (E a) + (E a)) * (E a)))",
-    }
+    reduced = _item_forest("topdown", expr_grammar, "a + a * a".split())
+    _assert_holds(reduced, expr_grammar, EXPR_TREES)
 
 
 def test_lr_item_forest(sps_grammar):
+    # On the grammar as it is: the shift-reduce compiler needs no fresh
+    # start rule.
     c = run_tabular(compile_lr(sps_grammar), "a + a + a".split())
-    reduced = reduce_forest(build_forest_items(c))
-    assert count_trees(reduced).value == 2
-    trees = extract_trees(reduced, 5)
-    assert {render_tree(t) for t in trees} == {
-        "(S (S (S a) + (S a)) + (S a))",
-        "(S (S a) + (S (S a) + (S a)))",
-    }
-    for t in trees:
-        assert validate_tree(sps_grammar, t)
+    _assert_holds(
+        reduce_forest(build_forest_items(c)),
+        sps_grammar,
+        {"(S (S (S a) + (S a)) + (S a))", "(S (S a) + (S (S a) + (S a)))"},
+    )
 
 
 def test_bottomup_item_forest(cnf_grammar):
-    c = run_tabular(compile_bottomup(cnf_grammar), "aabb")
-    reduced = reduce_forest(build_forest_items(c))
-    assert count_trees(reduced).value == 5
-    trees = extract_trees(reduced, 10)
-    assert {render_tree(t) for t in trees} == FIVE_TREES
+    _assert_holds(_item_forest("bottomup", cnf_grammar, "aabb"), cnf_grammar, FIVE_TREES)
 
 
 def test_cyclic_forest_infinite():
@@ -211,27 +206,23 @@ def test_cyclic_forest_infinite():
         assert validate_tree(base, t)
 
 
+def _chart(algorithm, g, tokens):
+    """The chart of one algorithm of the table on a grammar."""
+    a = ALGORITHMS[algorithm]
+    return a.saturate(a.prepare(g), tokens)
+
+
 def _item_forest(algorithm, g, tokens):
-    """The reduced forest of one item-chart algorithm on an augmented grammar."""
-    if algorithm == "earley":
-        c = earley_parse(g, tokens)
-    elif algorithm == "topdown":
-        c = run_tabular(compile_topdown(g), tokens)
-    else:
-        lazy = compile_lr(g)
-        c = run_tabular(lazy if algorithm == "glr" else binarize_reductions(lazy), tokens)
-    return reduce_forest(build_forest_items(c))
+    """The reduced forest of one item-chart algorithm on a grammar."""
+    return reduce_forest(build_forest_items(_chart(algorithm, g, tokens)))
 
 
 @pytest.mark.parametrize("text", ["a b b b", "b b a b"])
 def test_cyclic_binarized_trees_match_glr(text):
     # Aux cells name no rule, so they add no depth: the binarized machine's
     # rounds meet the lazy machine's trees at the same depths.
-    g = augment_start(
-        parse_grammar(
-            "A -> b a B\nA -> A\nA -> a A\nA -> b b b\nA -> b\nA -> A B A\n"
-            "B -> b A B\nB -> A"
-        )
+    g = parse_grammar(
+        "A -> b a B\nA -> A\nA -> a A\nA -> b b b\nA -> b\nA -> A B A\nB -> b A B\nB -> A"
     )
     lazy, binarized = (
         extract_trees(_item_forest(a, g, text.split()), 3) for a in ("glr", "glr-binarized")
@@ -245,13 +236,11 @@ def test_cyclic_binarized_trees_match_glr(text):
 def test_cyclic_dotted_item_trees_come_shallowest_first(algorithm):
     # Partial dotted items and pushes name no rule: counted as forest depth
     # they put a depth-3 tree before the depth-2 one.
-    g = augment_start(
-        parse_grammar("S -> B\nS -> B B B\nS -> B a\nS ->\nB -> a B\nB -> a\nB -> S a\nB -> B")
-    )
+    g = parse_grammar("S -> B\nS -> B B B\nS -> B a\nS ->\nB -> a B\nB -> a\nB -> S a\nB -> B")
     trees = extract_trees(_item_forest(algorithm, g, "a a a".split()), 3)
     assert [tree_depth(t) for t in trees] == [2, 3, 3]
     assert render_tree(trees[0]) == "(S (B a) (B a) (B a))"
-    g = augment_start(parse_grammar("S ->\nS -> b b\nS -> S S\nS -> S\nS -> S a b\nS -> S S S"))
+    g = parse_grammar("S ->\nS -> b b\nS -> S S\nS -> S\nS -> S a b\nS -> S S S")
     trees = extract_trees(_item_forest(algorithm, g, "a b a b".split()), 3)
     assert [tree_depth(t) for t in trees] == [3, 3, 3]
 
@@ -409,12 +398,9 @@ def test_rejected_input_gives_empty_forest(cnf_grammar):
 @pytest.mark.parametrize("algorithm", ["earley", "topdown", "bottomup", "glr"])
 def test_rejected_input_gives_empty_item_forest(algorithm, expr_grammar, cnf_grammar):
     if algorithm == "bottomup":
-        c = run_tabular(compile_bottomup(cnf_grammar), "ab")
-    elif algorithm == "earley":
-        c = earley_parse(expr_grammar, "a + * a".split())
+        c = _chart(algorithm, cnf_grammar, "ab")
     else:
-        compile_ = compile_topdown if algorithm == "topdown" else compile_lr
-        c = run_tabular(compile_(expr_grammar), "a + * a".split())
+        c = _chart(algorithm, expr_grammar, "a + * a".split())
     _assert_empty(build_forest_items(c))
 
 
@@ -436,13 +422,7 @@ def test_reduce_makes_only_rules_it_keeps(algorithm, made, total):
     # Under right recursion most items are partial lists the whole input
     # never uses; reduction turns only the justifications of the heads the
     # start node reaches into forest steps.
-    g = augment_start(parse_grammar("L -> a L\nL -> a"))
-    tokens = ("a",) * 50
-    if algorithm == "earley":
-        c = earley_parse(g, tokens)
-    else:
-        compile_ = compile_topdown if algorithm == "topdown" else compile_lr
-        c = run_tabular(compile_(g), tokens)
+    c = _chart(algorithm, parse_grammar("L -> a L\nL -> a"), ("a",) * 50)
     rules_of = build_forest_items(c)._chart[1]
     eager = {ForestRule._make(step[:3]) for h in c.justifications for step in rules_of(h)}
     # Builders read a head's justifications through `get`, once per call.
@@ -636,16 +616,15 @@ def test_reduce_linear_on_chain():
 def _chart_forests(rules, tokens):
     """The forest of each algorithm that takes the grammar, on tokens."""
     g = Grammar(tuple(rules), rules[0].lhs)
-    aug = augment_start(g)
-    yield build_forest_items(earley_parse(aug, tokens))
-    yield build_forest_items(run_tabular(compile_topdown(aug), tokens))
-    if not has_epsilon_rules(g):
-        lazy = compile_lr(aug)
-        yield build_forest_items(run_tabular(lazy, tokens))
-        yield build_forest_items(run_tabular(binarize_reductions(lazy), tokens))
-    if is_cnf(g):
-        yield build_forest_cky(cky_parse(g, tokens))
-        yield build_forest_items(run_tabular(compile_bottomup(g), tokens))
+    for name, a in ALGORITHMS.items():
+        # CKY and the bottom-up machine need CNF, shift-reduce machines no
+        # empty rules; an algorithm that refuses any other grammar fails.
+        if name in ("cky", "bottomup") and not is_cnf(g):
+            continue
+        if name.startswith("glr") and has_epsilon_rules(g):
+            continue
+        if a.build_forest is not None:
+            yield a.build_forest(_chart(name, g, tokens))
 
 
 def _walk_of(reduced):
@@ -994,15 +973,7 @@ def _is_comb(t, n, left):
     ],
 )
 def test_extract_deep_list(algorithm, text, n):
-    g = augment_start(parse_grammar(text))
-    tokens = ("a",) * n
-    if algorithm == "earley":
-        c = earley_parse(g, tokens)
-    elif algorithm == "glr-binarized":
-        c = run_tabular(binarize_reductions(compile_lr(g)), tokens)
-    else:
-        c = run_tabular((compile_topdown if algorithm == "topdown" else compile_lr)(g), tokens)
-    f = reduce_forest(build_forest_items(c))
+    f = _item_forest(algorithm, parse_grammar(text), ("a",) * n)
     t0 = time.perf_counter()
     trees = extract_trees(f, 2)
     elapsed = time.perf_counter() - t0
