@@ -287,6 +287,38 @@ def test_forest_text_golden(run, alg, kind):
     assert out == (GOLDEN / f"forest-{alg}-{kind}.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "alg, grammar, text",
+    [
+        ("topdown", "expr", "a + a * a"),
+        ("glr-binarized", "sps", "a + a + a"),
+        ("bottomup", "cnf", "a a b b"),
+    ],
+)
+def test_pda_text_golden(run, alg, grammar, text):
+    # Each compiler's machine, transitions in order, is pinned by its dump.
+    path = EXPR_CFG.with_name(f"{grammar}.cfg")
+    code, out, err = run("--grammar", str(path), "--input", text, "--algorithm", alg, "--show-pda")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"pda-{alg}.txt").read_text(encoding="utf-8")
+
+
+def test_binarized_symbols_and_completes():
+    # What the dump leaves out of the binarized machine: its stack symbols
+    # and the rule each finishing step completes.
+    p = ALGORITHMS["glr-binarized"].prepare(tabparse.parse_grammar(SPS_TEXT))
+    assert sorted(map(str, p.stack_symbols)) == [
+        "[S -> S + S; 0]", "[S -> S + S; 1]", "q0", "q1", "q2", "q3", "q4", "q_final"
+    ]
+    assert sorted(f"{t} => {rule}" for t, rule in p.completes.items()) == [
+        "q0 ([S -> S + S; 0]) , eps , q0 q1 => S -> S + S",
+        "q0 q1 , eps , q_final => S' -> S",
+        "q0 q2 , eps , q0 q1 => S -> a",
+        "q3 ([S -> S + S; 0]) , eps , q3 q4 => S -> S + S",
+        "q3 q2 , eps , q3 q4 => S -> a",
+    ]
+
+
 def test_dot_output(run, grammars, tmp_path):
     target = tmp_path / "chart.dot"
     code, _, _ = run(
