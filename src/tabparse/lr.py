@@ -136,14 +136,6 @@ def closure(g: Grammar, items: frozenset[DottedRule]) -> frozenset[DottedRule]:
     return frozenset(out)
 
 
-def _symbol_order(g: Grammar) -> list[str]:
-    seen: dict[str, None] = {}
-    for rule in g.rules:
-        for sym in (rule.lhs, *rule.rhs):
-            seen.setdefault(sym)
-    return list(seen)
-
-
 def build_lr_automaton(g: Grammar) -> LrAutomaton:
     """Deterministic construction: breadth-first from the start closure,
     state ids by discovery.  One pass over a state's items groups the
@@ -151,7 +143,8 @@ def build_lr_automaton(g: Grammar) -> LrAutomaton:
     first-occurrence symbol order, so no empty kernel is ever closed."""
     if has_epsilon_rules(g):
         raise GrammarError("shift-reduce compilation does not support empty rules")
-    rank = {sym: i for i, sym in enumerate(_symbol_order(g))}
+    symbols = dict.fromkeys(sym for rule in g.rules for sym in (rule.lhs, *rule.rhs))
+    rank = {sym: i for i, sym in enumerate(symbols)}
     init = closure(g, frozenset(DottedRule(r, 0) for r in g.start_rules()))
     states = [LrState(0, init)]
     by_items = {init: states[0]}
@@ -228,20 +221,8 @@ def binarize_reductions(p: Pda) -> Pda:
     if not p.reductions:
         return p
     g = p.grammar
-    transitions = list(p.transitions)
-    seen = set(transitions)
-    symbols = set(p.stack_symbols)
+    transitions = dict.fromkeys(p.transitions)  # an ordered set
     completes = {}
-
-    def emit(t: Transition, completed: Optional[Rule] = None) -> None:
-        if completed is not None:
-            completes[t] = completed
-        if t not in seen:
-            seen.add(t)
-            transitions.append(t)
-            symbols.update(t.pop)
-            symbols.update(t.push)
-
     for red in p.reductions:
         top = red.state
         possible = chain_states(auto, red)
@@ -249,15 +230,17 @@ def binarize_reductions(p: Pda) -> Pda:
         for k in range(len(red.rule.rhs) - 1, 0, -1):
             owed = AuxSymbol(red.rule, k - 1)
             for q in sorted(possible[k], key=lambda s: s.id):
-                emit(Transition((q, top), (), (owed,)))
+                transitions[Transition((q, top), (), (owed,))] = None
             top = owed
         for q0 in sorted(possible[0], key=lambda s: s.id):
             for tail in red.leaves(q0):
-                emit(Transition((q0, top), (), tail), red.rule)
+                t = Transition((q0, top), (), tail)
+                transitions[t] = None
+                completes[t] = red.rule
 
     return Pda(
         input_alphabet=p.input_alphabet,
-        stack_symbols=frozenset(symbols),
+        stack_symbols=p.stack_symbols.union(*(t.pop + t.push for t in transitions)),
         initial=p.initial,
         final=p.final,
         transitions=tuple(transitions),

@@ -86,25 +86,19 @@ def compile_topdown(g: Grammar) -> Pda:
             "augment the grammar first"
         )
     start_rule = starts[0]
-    symbols = frozenset(dotted_rules(g))
-    transitions = []
-    for d in dotted_rules(g):
+    symbols = tuple(dotted_rules(g))
+    pushes, reads, pops = [], [], []
+    for d in symbols:
         goal = d.goal
-        if goal is not None and goal in g.nonterminals:
+        if goal in g.terminals:
+            reads.append(Transition((d,), (goal,), (d.advance(),)))
+        elif goal is not None:
             for sub in g.rules_for(goal):
-                transitions.append(
-                    Transition((d,), (), (d, DottedRule(sub, 0)))
-                )
-    for d in dotted_rules(g):
-        goal = d.goal
-        if goal is not None and goal in g.terminals:
-            transitions.append(Transition((d,), (goal,), (d.advance(),)))
-    for d in dotted_rules(g):
-        goal = d.goal
-        if goal is not None and goal in g.nonterminals:
-            for sub in g.rules_for(goal):
+                pushes.append(Transition((d,), (), (d, DottedRule(sub, 0))))
                 done = DottedRule(sub, len(sub.rhs))
-                transitions.append(Transition((d, done), (), (d.advance(),)))
+                pops.append(Transition((d, done), (), (d.advance(),)))
+    # The simulator tries transitions in machine order: predictions first.
+    transitions = pushes + reads + pops
     # A step completes the rule it leaves complete on top; the axiom does
     # when the start rule is empty.
     completes = {t: t.push[-1].rule for t in transitions if t.push[-1].is_complete}
@@ -112,7 +106,7 @@ def compile_topdown(g: Grammar) -> Pda:
         completes[None] = start_rule
     return Pda(
         input_alphabet=frozenset(g.terminals),
-        stack_symbols=symbols,
+        stack_symbols=frozenset(symbols),
         initial=DottedRule(start_rule, 0),
         final=DottedRule(start_rule, len(start_rule.rhs)),
         transitions=tuple(transitions),
