@@ -1,11 +1,14 @@
+import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
+from tabparse import pda
 from tabparse.algorithms import ALGORITHMS
 from tabparse.cky import cky_parse
 from tabparse.earley import EarleyItem, earley_parse
@@ -13,6 +16,7 @@ from tabparse.engine import (
     BOTTOM,
     Item,
     UnsupportedTransition,
+    _trigger_tables,
     chart_to_dot,
     classify_transition,
     dump_chart,
@@ -26,9 +30,10 @@ from tabparse.grammar import (
     is_cnf,
     parse_grammar,
 )
+from tabparse.forest import build_forest_items, count_trees
 from tabparse.lr import Reduction, binarize_reductions, compile_lr
 from tabparse.oracle import recognizes
-from tabparse.pda import Pda, Transition, simulate
+from tabparse.pda import Pda, Transition, applicable, simulate
 from tabparse.strategies import compile_bottomup, compile_topdown
 
 BRANCHING_CHART = """\
@@ -558,6 +563,76 @@ def test_inferences_fire_once(rules, tokens):
         machines += [compile_lr(aug), binarize_reductions(compile_lr(aug))]
     for p in machines:
         assert_fires_once(lambda order: run_tabular(p, tokens, agenda_order=order))
+
+
+# The ten transition shapes as (pop, read, push) over placeholders: `l` is a
+# kept lower symbol or a first popped one, `p` and `q` are popped, `u` is
+# pushed and `a` is read.
+SHAPES = (
+    ("p", "a", "pu"),  # F1
+    ("p", "a", "u"),  # F2, bare
+    ("lp", "a", "lu"),  # F2, full
+    ("lp", "", "u"),  # F3
+    ("p", "", "pu"),  # F4
+    ("p", "", "u"),  # F5, bare
+    ("lp", "", "lu"),  # F5, full
+    ("", "a", "u"),  # F6
+    ("lpq", "", "u"),  # F7, one push
+    ("lpq", "", "lu"),  # F7, two pushes
+)
+
+
+@st.composite
+def _transitions(draw):
+    pop, read, push = draw(st.sampled_from(SHAPES))
+    # Half the symbols are s, where every run starts, so that more of each
+    # machine is reachable and symbols repeat within a transition.
+    name = {c: draw(st.sampled_from("ssssxyzf")) for c in "lpqu"}
+    name["a"] = draw(st.sampled_from("ab"))
+    return Transition(*(tuple(name[c] for c in part) for part in (pop, read, push)))
+
+
+def _search(p, tokens, steps=1_000, depth=24, runs=64):
+    """`simulate`'s result, and whether its search ran to the end: no step
+    past `steps`, no successor deeper than `depth` (conservatively, one the
+    search then skips as already on its branch counts too) and fewer than
+    `runs` runs.  On a machine without lazy reductions every successor the
+    search takes comes from `applicable`, which is watched for that."""
+    made = []
+
+    def watched(t, c, toks):
+        nxt = applicable(t, c, toks)
+        if nxt is not None:
+            made.append(len(nxt.stack))
+        return nxt
+
+    with mock.patch.object(pda, "applicable", watched):
+        result = simulate(p, tokens, max_steps=steps, max_stack_depth=depth, max_runs=runs)
+    return result, len(made) <= steps and max(made, default=0) <= depth and len(result.runs) < runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_transitions(), min_size=2, max_size=9, unique=True))
+def test_any_machine_agrees_with_simulation(transitions):
+    # Random machines of every shape the engine runs, over stack symbols
+    # s (initial) x y z f (final), on every input of up to three tokens.
+    p = Pda(frozenset("ab"), frozenset("sxyzf"), "s", "f", tuple(transitions))
+    q = len(p.stack_symbols)
+    for n in range(4):
+        for tokens in itertools.product("ab", repeat=n):
+            c = assert_fires_once(lambda order: run_tabular(p, tokens, agenda_order=order))
+            replay_justifications(c)
+            assert len(c.items) <= q * q * (n + 1) * (n + 2) // 2
+            result, complete = _search(p, tokens)
+            if result.verdict != "bound-exceeded":
+                assert recognized(c) == (result.verdict == "yes")
+            # Runs never repeat a configuration, so cyclic forests compare
+            # verdicts only, and so do machines `repeats` flags: two of
+            # their inferences can make one forest step.
+            if recognized(c) and complete and not _trigger_tables(p)[3]:
+                counted = count_trees(build_forest_items(c))
+                if not counted.infinite:
+                    assert counted.value == len(result.runs)
 
 
 def assert_plain_entries(c, view):
