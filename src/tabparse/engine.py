@@ -144,10 +144,8 @@ class Chart(Deduction):
         )
 
     def accept_item(self) -> Item:
-        n = len(self.tokens)
-        if self.pda.bottom_marker_start:
-            return Item(self.pda.initial, 0, self.pda.final, n)
-        return Item(BOTTOM, 0, self.pda.final, n)
+        lower, upper = (BOTTOM, *self.pda.accept_stack())[-2:]
+        return Item(lower, 0, upper, len(self.tokens))
 
 
 def recognized(c: Chart) -> bool:

@@ -149,10 +149,15 @@ def applicable(t: Transition, c: Configuration, tokens) -> Optional[Configuratio
     return Configuration(c.stack[: len(c.stack) - k] + tuple(t.push), c.position + m)
 
 
-@dataclass
-class SimulationResult:
-    verdict: str  # "yes" | "no" | "bound-exceeded"
+class SimulationResult(NamedTuple):
     runs: tuple[Run, ...]
+    truncated: bool
+
+    @property
+    def verdict(self) -> str:
+        if self.runs:
+            return "yes"
+        return "bound-exceeded" if self.truncated else "no"
 
 
 def simulate(
@@ -168,9 +173,12 @@ def simulate(
 
     Runs never revisit a configuration already on the current branch (a run
     that did would contain a removable loop) and end at the first accepting
-    configuration reached on a branch.  Verdict is "yes" as soon as one
-    accepting run exists within the bounds, "no" when the search space was
-    exhausted without truncation, "bound-exceeded" otherwise.
+    configuration reached on a branch.  `truncated` says a bound cut the
+    search short (`max_steps` steps taken, a configuration deeper than
+    `max_stack_depth` skipped, or `max_runs` runs found), so `runs` may miss
+    some.  With `max_runs` above 1 the search goes on past the first
+    accepting run, which can cost far more: on a right list it backtracks
+    through quadratically many dead ends.  For a verdict alone, pass 1.
     """
     tokens = tuple(tokens)
     n = len(tokens)
@@ -182,7 +190,7 @@ def simulate(
     truncated = False
     start = Configuration((p.initial,), 0)
     if start.stack == accept and start.position == n:
-        return SimulationResult("yes", (Run((start,)),))
+        return SimulationResult((Run((start,)),), False)
 
     def successors(c: Configuration):
         for t in p.transitions:
@@ -222,13 +230,7 @@ def simulate(
         path.append(nxt)
         on_path.add(nxt)
         frames.append(successors(nxt))
-    if runs:
-        verdict = "yes"
-    elif truncated:
-        verdict = "bound-exceeded"
-    else:
-        verdict = "no"
-    return SimulationResult(verdict, tuple(runs))
+    return SimulationResult(tuple(runs), truncated)
 
 
 def dump_pda(p: Pda) -> str:

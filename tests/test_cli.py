@@ -461,27 +461,10 @@ def test_oracle_disagreement_exits_3(run, grammars, monkeypatch):
     assert "oracle: disagree" in out.splitlines()
 
 
-@pytest.mark.parametrize(
-    "argv, fragment",
-    [
-        (("--algorithm", "earley", "--show-pda"), "no stack machine"),
-        (("--algorithm", "cky", "--show-pda"), "no stack machine"),
-        (("--algorithm", "earley", "--show-lr"), "no shift-reduce automaton"),
-        (("--algorithm", "topdown", "--show-lr"), "no shift-reduce automaton"),
-        (("--algorithm", "naive", "--show-table"), "no table"),
-        (("--algorithm", "earley", "--dot", "x.dot"), "no item graph"),
-        (("--algorithm", "naive", "--dot", "x.dot"), "no item graph"),
-        (("--algorithm", "naive", "--count"), "no forest"),
-        (("--algorithm", "cky", "--dot", "x.dot"), "no item graph"),
-        (("--trees", "0"), "must be positive"),
-        (("--trees", "-3"), "must be positive"),
-    ],
-)
-def test_unusable_requests(run, grammars, argv, fragment):
-    code, out, err = run("--grammar", grammars["expr"], "--input", "a", *argv)
-    assert code == 2
-    assert out == ""
-    assert fragment in err
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_unusable_requests(run, grammars, count):
+    argv = ("--grammar", grammars["expr"], "--input", "a", "--trees", count)
+    assert run(*argv) == (2, "", "tabparse: --trees: K must be positive\n")
 
 
 # The CLI's capability matrix, written out: each algorithm and artifact flag

@@ -1,14 +1,12 @@
 import itertools
 import math
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
-from tabparse import pda
 from tabparse.algorithms import ALGORITHMS
 from tabparse.cky import cky_parse
 from tabparse.earley import EarleyItem, earley_parse
@@ -33,7 +31,7 @@ from tabparse.grammar import (
 from tabparse.forest import build_forest_items, count_trees
 from tabparse.lr import Reduction, binarize_reductions, compile_lr
 from tabparse.oracle import recognizes
-from tabparse.pda import Pda, Transition, applicable, simulate
+from tabparse.pda import Pda, Transition, simulate
 from tabparse.strategies import compile_bottomup, compile_topdown
 
 BRANCHING_CHART = """\
@@ -592,25 +590,6 @@ def _transitions(draw):
     return Transition(*(tuple(name[c] for c in part) for part in (pop, read, push)))
 
 
-def _search(p, tokens, steps=1_000, depth=24, runs=64):
-    """`simulate`'s result, and whether its search ran to the end: no step
-    past `steps`, no successor deeper than `depth` (conservatively, one the
-    search then skips as already on its branch counts too) and fewer than
-    `runs` runs.  On a machine without lazy reductions every successor the
-    search takes comes from `applicable`, which is watched for that."""
-    made = []
-
-    def watched(t, c, toks):
-        nxt = applicable(t, c, toks)
-        if nxt is not None:
-            made.append(len(nxt.stack))
-        return nxt
-
-    with mock.patch.object(pda, "applicable", watched):
-        result = simulate(p, tokens, max_steps=steps, max_stack_depth=depth, max_runs=runs)
-    return result, len(made) <= steps and max(made, default=0) <= depth and len(result.runs) < runs
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_transitions(), min_size=2, max_size=9, unique=True))
 def test_any_machine_agrees_with_simulation(transitions):
@@ -623,13 +602,13 @@ def test_any_machine_agrees_with_simulation(transitions):
             c = assert_fires_once(lambda order: run_tabular(p, tokens, agenda_order=order))
             replay_justifications(c)
             assert len(c.items) <= q * q * (n + 1) * (n + 2) // 2
-            result, complete = _search(p, tokens)
+            result = simulate(p, tokens, max_steps=1_000, max_stack_depth=24)
             if result.verdict != "bound-exceeded":
                 assert recognized(c) == (result.verdict == "yes")
             # Runs never repeat a configuration, so cyclic forests compare
             # verdicts only, and so do machines `repeats` flags: two of
             # their inferences can make one forest step.
-            if recognized(c) and complete and not _trigger_tables(p)[3]:
+            if recognized(c) and not result.truncated and not _trigger_tables(p)[3]:
                 counted = count_trees(build_forest_items(c))
                 if not counted.infinite:
                     assert counted.value == len(result.runs)

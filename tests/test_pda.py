@@ -151,6 +151,22 @@ def test_max_runs_truncates(branching_pda):
     assert dump_run(res.runs[0]) == RUN_LEFT
 
 
+@pytest.mark.parametrize(
+    "text, bounds, verdict, truncated, runs",
+    [
+        ("abcd", {"max_steps": 3}, "bound-exceeded", True, 0),
+        ("abcd", {"max_stack_depth": 3}, "bound-exceeded", True, 0),
+        ("abcd", {"max_runs": 1}, "yes", True, 1),
+        ("abcd", {}, "yes", False, 2),
+        ("abc", {}, "no", False, 0),
+    ],
+)
+def test_how_a_search_ends(branching_pda, text, bounds, verdict, truncated, runs):
+    # Both runs pass a four-symbol stack (q0 q2 q4 q5, q0 q3 q4 q5), so depth 3 cuts both.
+    res = simulate(branching_pda, text, **bounds)
+    assert (res.verdict, res.truncated, len(res.runs)) == (verdict, truncated, runs)
+
+
 def test_step_bound_reported():
     # One self-feeding push transition: the only way to stop is the bound.
     p = Pda(
@@ -191,7 +207,7 @@ def test_empty_input_acceptance():
     # initial == final accepts the empty input with a one-configuration run
     p = Pda(frozenset(), frozenset("q"), "q", "q", ())
     res = simulate(p, [])
-    assert res.verdict == "yes"
+    assert res.verdict == "yes" and not res.truncated
     assert res.runs == (Run((Configuration(("q",), 0),)),)
 
 
