@@ -293,12 +293,16 @@ def test_forest_text_golden(run, alg, kind):
         ("topdown", "expr", "a + a * a"),
         ("glr-binarized", "sps", "a + a + a"),
         ("bottomup", "cnf", "a a b b"),
+        ("glr", "expr", "a + a * a"),
     ],
 )
 def test_pda_text_golden(run, alg, grammar, text):
     # Each compiler's machine, transitions in order, is pinned by its dump.
+    # The lazy shift-reduce machine comes with the automaton its reductions
+    # read: each state's item set, and the goto map in its build order.
     path = EXPR_CFG.with_name(f"{grammar}.cfg")
-    code, out, err = run("--grammar", str(path), "--input", text, "--algorithm", alg, "--show-pda")
+    show = ("--show-pda", "--show-lr") if alg == "glr" else ("--show-pda",)
+    code, out, err = run("--grammar", str(path), "--input", text, "--algorithm", alg, *show)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"pda-{alg}.txt").read_text(encoding="utf-8")
 
