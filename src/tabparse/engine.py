@@ -374,9 +374,12 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
 
         # Multi-pop: F7, reductions and acceptance, on each path through
         # `item` in each cell it can fill.  A machine with none of them
-        # skips building the (low, up) key.
+        # skips building the (low, up) key.  A path on above `item` needs an
+        # arc from its top vertex (`in`: indexing would add the key).
         if pops:
             for uppers, lowers, tag, via, tops in pops.get((low, up), ()):
+                if uppers and top not in by_lower_at:
+                    continue
                 for chain in _chains(c, item, uppers, lowers):
                     first = chain[0]
                     pushed = tops.get(first[0])

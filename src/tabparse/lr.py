@@ -120,19 +120,34 @@ class AuxSymbol(NamedTuple):
         return f"[{self.rule}; {self.remaining}]"
 
 
-def closure(g: Grammar, items: frozenset[DottedRule]) -> frozenset[DottedRule]:
+class Predictions(dict):
+    """Goal -> the initial items of every rule reachable from it through left
+    corners, itself included: what closing adds for an item with that goal.
+    One per grammar, filled on first use, so a grammar pays only for the
+    goals its kernels name; a terminal predicts nothing."""
+
+    def __init__(self, g: Grammar):
+        self.rules_for = g.rules_for
+
+    def __missing__(self, goal: str) -> frozenset[DottedRule]:
+        rules_for, reach, seen = self.rules_for, [goal], {goal}
+        for nt in reach:  # grows while walked
+            for rule in rules_for(nt):
+                if rule.rhs and rule.rhs[0] not in seen:
+                    seen.add(rule.rhs[0])
+                    reach.append(rule.rhs[0])
+        self[goal] = frozenset(DottedRule(r, 0) for nt in reach for r in rules_for(nt))
+        return self[goal]
+
+
+def closure(g: Grammar, items: frozenset[DottedRule], predicts=None) -> frozenset[DottedRule]:
+    """The items plus the prediction sets of their goals (Aho, Sethi &
+    Ullman 1986, section 4.7), read from `g`'s table `predicts` if given."""
+    predicts = Predictions(g) if predicts is None else predicts
     out = set(items)
-    agenda = list(items)
-    while agenda:
-        d = agenda.pop()
-        goal = d.goal
-        if goal is None or goal not in g.nonterminals:
-            continue
-        for rule in g.rules_for(goal):
-            fresh = DottedRule(rule, 0)
-            if fresh not in out:
-                out.add(fresh)
-                agenda.append(fresh)
+    for d in items:
+        if d.goal is not None:
+            out |= predicts[d.goal]
     return frozenset(out)
 
 
@@ -140,14 +155,16 @@ def build_lr_automaton(g: Grammar) -> LrAutomaton:
     """Deterministic construction: breadth-first from the start closure,
     state ids by discovery.  One pass over a state's items groups the
     advanced items by the symbol after the dot; the groups are closed in
-    first-occurrence symbol order, so no empty kernel is ever closed."""
+    first-occurrence symbol order, so no empty kernel is ever closed.  A
+    closure adds only initial items, so a kernel names its state and is closed once."""
     if has_epsilon_rules(g):
         raise GrammarError("shift-reduce compilation does not support empty rules")
     symbols = dict.fromkeys(sym for rule in g.rules for sym in (rule.lhs, *rule.rhs))
     rank = {sym: i for i, sym in enumerate(symbols)}
-    init = closure(g, frozenset(DottedRule(r, 0) for r in g.start_rules()))
-    states = [LrState(0, init)]
-    by_items = {init: states[0]}
+    predicts = Predictions(g)
+    start = frozenset(DottedRule(r, 0) for r in g.start_rules())
+    states = [LrState(0, closure(g, start, predicts))]
+    by_kernel = {start: states[0]}
     goto_map: dict[tuple[LrState, str], LrState] = {}
     for state in states:  # grows while walked: the breadth-first queue
         kernels: dict[str, set[DottedRule]] = defaultdict(set)
@@ -155,10 +172,11 @@ def build_lr_automaton(g: Grammar) -> LrAutomaton:
             if d.goal is not None:
                 kernels[d.goal].add(d.advance())
         for sym in sorted(kernels, key=rank.__getitem__):
-            items = closure(g, frozenset(kernels[sym]))
-            target = by_items.get(items)
+            kernel = frozenset(kernels[sym])
+            target = by_kernel.get(kernel)
             if target is None:
-                target = by_items[items] = LrState(len(states), items)
+                target = LrState(len(states), closure(g, kernel, predicts))
+                by_kernel[kernel] = target
                 states.append(target)
             goto_map[(state, sym)] = target
     return LrAutomaton(g, states, goto_map)
@@ -184,11 +202,8 @@ def compile_lr(g: Grammar) -> Pda:
         for (state, sym), target in auto.goto_map.items()
         if sym in terminals
     ]
-    reductions = []
-    for state in auto.states:
-        for rule in g.rules:
-            if DottedRule(rule, len(rule.rhs)) in state.items:
-                reductions.append(Reduction(state, rule, auto))
+    done = [(rule, DottedRule(rule, len(rule.rhs))) for rule in g.rules]
+    reductions = [Reduction(q, r, auto) for q in auto.states for r, d in done if d in q.items]
     return Pda(
         input_alphabet=frozenset(terminals),
         stack_symbols=frozenset(auto.states) | {FINAL},
@@ -222,17 +237,19 @@ def binarize_reductions(p: Pda) -> Pda:
         return p
     g = p.grammar
     transitions = dict.fromkeys(p.transitions)  # an ordered set
-    completes = {}
+    completes, owing = {}, []
     for red in p.reductions:
         top = red.state
         possible = chain_states(auto, red)
-        # Pop the cells above position 0 one at a time, top first.
+        # Pop the cells above position 0 one at a time, top first; states
+        # sort by id, their first field.
         for k in range(len(red.rule.rhs) - 1, 0, -1):
             owed = AuxSymbol(red.rule, k - 1)
-            for q in sorted(possible[k], key=lambda s: s.id):
+            owing.append(owed)
+            for q in sorted(possible[k]):
                 transitions[Transition((q, top), (), (owed,))] = None
             top = owed
-        for q0 in sorted(possible[0], key=lambda s: s.id):
+        for q0 in sorted(possible[0]):
             for tail in red.leaves(q0):
                 t = Transition((q0, top), (), tail)
                 transitions[t] = None
@@ -240,7 +257,7 @@ def binarize_reductions(p: Pda) -> Pda:
 
     return Pda(
         input_alphabet=p.input_alphabet,
-        stack_symbols=p.stack_symbols.union(*(t.pop + t.push for t in transitions)),
+        stack_symbols=p.stack_symbols.union(owing),
         initial=p.initial,
         final=p.final,
         transitions=tuple(transitions),

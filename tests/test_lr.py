@@ -8,6 +8,7 @@ from tabparse.lr import (
     FINAL,
     AuxSymbol,
     LrState,
+    Predictions,
     Reduction,
     binarize_reductions,
     build_lr_automaton,
@@ -257,12 +258,55 @@ def test_reduction_index_matches_brute_force(rules):
     assert binarize_reductions(p).reductions == ()
 
 
+def _fixpoint_closure(g, items):
+    """Closure read off the rule list alone: add A -> . gamma for the symbol
+    A right of some item's dot until nothing new comes in."""
+    out = set(items)
+    while True:
+        more = {
+            DottedRule(r, 0)
+            for d in out
+            if d.dot < len(d.rule.rhs)
+            for r in g.rules
+            if r.lhs == d.rule.rhs[d.dot]
+        }
+        if more <= out:
+            return frozenset(out)
+        out |= more
+
+
+# Empty and cyclic rules included: `closure` accepts what `compile_lr` rejects.
+_ANY_RULES = st.lists(
+    st.builds(
+        Rule,
+        st.sampled_from("SAB"),
+        st.lists(st.sampled_from("SABab"), max_size=3).map(tuple),
+    ),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+@given(_ANY_RULES, st.data())
+def test_closure_is_the_prediction_fixpoint(rules, data):
+    # One prediction table serves every kernel of a grammar, as it does in
+    # the automaton construction; each closure is still the fixpoint.
+    g = Grammar(tuple(rules), rules[0].lhs)
+    dotted = [DottedRule(r, dot) for r in g.rules for dot in range(len(r.rhs) + 1)]
+    kernels = data.draw(st.lists(st.frozensets(st.sampled_from(dotted), max_size=4), max_size=4))
+    predicts = Predictions(g)
+    for kernel in kernels:
+        assert closure(g, kernel, predicts) == _fixpoint_closure(g, kernel)
+        assert closure(g, kernel) == _fixpoint_closure(g, kernel)
+
+
 def _reference_automaton(g):
     """The breadth-first construction that closes the kernel of every
     (state, symbol) pair, symbols in first-occurrence order: item sets in
     id order and goto pairs read by id."""
     order = list(dict.fromkeys(s for r in g.rules for s in (r.lhs, *r.rhs)))
-    init = closure(g, frozenset(DottedRule(r, 0) for r in g.start_rules()))
+    init = _fixpoint_closure(g, frozenset(DottedRule(r, 0) for r in g.start_rules()))
     ids = {init: 0}
     states = [init]
     goto = {}
@@ -273,7 +317,7 @@ def _reference_automaton(g):
             kernel = {d.advance() for d in items if d.goal == sym}
             if not kernel:
                 continue
-            target = closure(g, frozenset(kernel))
+            target = _fixpoint_closure(g, kernel)
             if target not in ids:
                 ids[target] = len(states)
                 states.append(target)
