@@ -5,7 +5,9 @@ column: for each end position, first the lexical entry, then wider spans in
 order of decreasing start, so both halves of every binary split are ready
 when it is tried.  A split with an empty half is skipped; the binary rules
 are tried in grammar order, so each entry's justifications come in a fixed
-order.
+order.  As in the engine and Earley, the chart stores plain tuples, each
+entered without a call: an entry (start, nonterminal, end) maps to its
+(rule, split) justifications, whose fields `CkyJustification._make` names.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from .grammar import Grammar, GrammarError, Rule, is_cnf
 
 
 class CkyJustification(NamedTuple):
+    """Named view of one way a span entry was derived, stored as a plain tuple."""
+
     rule: Rule
     split: Optional[int]  # None for lexical entries
 
@@ -26,8 +30,8 @@ class CkyChart:
         self.grammar = grammar
         self.tokens = tuple(tokens)
         self.cells: dict[tuple[int, int], set[str]] = defaultdict(set)
-        # (start, nonterminal, end) -> how it got there
-        self.justifications: dict[tuple[int, str, int], list[CkyJustification]] = {}
+        # (start, nonterminal, end) -> how it got there, as (rule, split)
+        self.justifications: dict[tuple[int, str, int], list[tuple]] = {}
         self.fired = 0
 
 
@@ -37,6 +41,7 @@ def cky_parse(g: Grammar, tokens) -> CkyChart:
     tokens = tuple(tokens)
     n = len(tokens)
     c = CkyChart(g, tokens)
+    cells, justifications = c.cells, c.justifications
     lexical = defaultdict(list)
     binary = []  # (rule, left child, right child), in grammar order
     for rule in g.rules:
@@ -45,25 +50,26 @@ def cky_parse(g: Grammar, tokens) -> CkyChart:
         else:
             binary.append((rule, *rule.rhs))
 
-    def add(start: int, symbol: str, end: int, just: CkyJustification) -> None:
-        c.fired += 1
-        c.cells[(start, end)].add(symbol)
-        c.justifications.setdefault((start, symbol, end), []).append(just)
-
     for i in range(1, n + 1):
+        # Always new: only lexical rules, none repeated, fill width-one spans.
         for rule in lexical.get(tokens[i - 1], ()):
-            add(i - 1, rule.lhs, i, CkyJustification(rule, None))
+            cells[(i - 1, i)].add(rule.lhs)
+            justifications[(i - 1, rule.lhs, i)] = [(rule, None)]
         for k in range(i - 2, -1, -1):
             for j in range(k + 1, i):
-                left = c.cells.get((k, j))
-                if not left:
-                    continue
-                right = c.cells.get((j, i))
+                left = cells.get((k, j))
+                right = left and cells.get((j, i))
                 if not right:
                     continue
                 for rule, b, d in binary:
                     if b in left and d in right:
-                        add(k, rule.lhs, i, CkyJustification(rule, j))
+                        new = (k, rule.lhs, i)
+                        if new in justifications:
+                            justifications[new].append((rule, j))
+                        else:
+                            justifications[new] = [(rule, j)]
+                            cells[(k, i)].add(rule.lhs)
+    c.fired = sum(map(len, justifications.values()))
     return c
 
 

@@ -58,10 +58,6 @@ class EarleyChart(Deduction):
         axiom = (0, DottedRule(starts[0], 0), 0)
         super().__init__(tokens, axiom, ("init", (), None), agenda_order)
         self.grammar = grammar
-        # Active items keyed by (their nonterminal goal, their end position);
-        # completed items keyed by (their left-hand side, their origin).
-        self.active_at: dict[tuple[str, int], list[tuple]] = defaultdict(list)
-        self.completed_at: dict[tuple[str, int], list[tuple]] = defaultdict(list)
 
     def final_item(self) -> EarleyItem:
         (start_rule,) = self.grammar.start_rules()
@@ -77,7 +73,9 @@ def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
     tokens = c.tokens
     n = len(tokens)
     justifications, push = c.justifications, c.agenda.append
-    active_at, completed_at = c.active_at, c.completed_at
+    # Popped active items by (their nonterminal goal, their end position);
+    # popped completed items by (their left-hand side, their origin).
+    active_at, completed_at = defaultdict(list), defaultdict(list)
 
     nonterminals = g.nonterminals
     predicted: dict[str, list[DottedRule]] = {}  # nonterminal -> its rules, dot first

@@ -100,8 +100,9 @@ class Deduction:
             justifications[new] = [just]
             push(new)  # the agenda's append
 
-    A loop indexes each item from `popped` into its chart tables *before*
-    matching it, and matches it only against items already popped.  So an
+    A loop indexes each item from `popped` in search indexes of its own,
+    not the chart's, *before* matching it, and matches it only against
+    items already popped.  So an
     inference fires exactly once, when the last of its antecedents is
     popped, and `fired`, set when the agenda runs dry, counts distinct
     justifications.  The result is independent of `agenda_order` ("lifo" or
@@ -127,21 +128,14 @@ class Deduction:
 
 
 class Chart(Deduction):
-    # Plain tuples throughout, in the layouts of `Item` and `Justification`.
+    """Plain tuples throughout, in the layouts of `Item` and `Justification`."""
+
     justifications: dict[tuple, list[tuple]]
 
     def __init__(self, pda: Pda, tokens, agenda_order: str = "lifo"):
         axiom = (BOTTOM, 0, pda.initial, 0)
         super().__init__(tokens, axiom, ("axiom", (), None), agenda_order)
         self.pda = pda
-        self.by_upper_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
-        # Filled only for machines with multi-pop entries, for `_chains`.
-        self.by_lower_at: dict[tuple[Any, int], list[tuple]] = defaultdict(list)
-        # Arcs some F3 transition pops as its pair, by (lower, lower_pos),
-        # then by upper symbol.
-        self.pairs_at: dict[tuple[Any, int], dict[Any, list[tuple]]] = defaultdict(
-            lambda: defaultdict(list)
-        )
 
     def accept_item(self) -> Item:
         lower, upper = (BOTTOM, *self.pda.accept_stack())[-2:]
@@ -188,7 +182,7 @@ def classify_transition(t: Transition) -> str:
     raise UnsupportedTransition(f"{t}: unsupported shape")
 
 
-def _chains(c: Chart, item: tuple, uppers, lowers) -> list[tuple]:
+def _chains(item: tuple, uppers, lowers, by_lower_at, by_upper_at) -> list[tuple]:
     """Linked paths of table arcs through `item`, grown forward by one arc
     ending at each of `uppers` in turn, then backward by one arc starting at
     each of `lowers` in turn.  A None entry accepts any symbol.  A path that
@@ -196,7 +190,6 @@ def _chains(c: Chart, item: tuple, uppers, lowers) -> list[tuple]:
     so each path is found once.  The multi-pop entries of `_trigger_tables`
     spell out the two walks for each cell their popped arc can fill."""
     chains = [(item,)]
-    by_lower_at, by_upper_at = c.by_lower_at, c.by_upper_at
     for want in uppers:
         chains = [
             ch + (nxt,)
@@ -309,7 +302,10 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     records, default, pops, _ = _trigger_tables(p)
 
     justifications, push = c.justifications, c.agenda.append
-    by_upper_at, by_lower_at, pairs_at = c.by_upper_at, c.by_lower_at, c.pairs_at
+    # Popped arcs by upper vertex, by lower vertex (for `_chains` only), and
+    # those some F3 transition pops as its pair, by lower vertex, then upper.
+    by_upper_at, by_lower_at = defaultdict(list), defaultdict(list)
+    pairs_at = defaultdict(lambda: defaultdict(list))
 
     for item in c.popped():
         low, j, up, i = item
@@ -317,7 +313,6 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
         top = (up, i)
         arcs_in = by_upper_at[top]
         arcs_in.append(item)
-        # Only `_chains` walks arcs forward from their lower vertex.
         if pops:
             by_lower_at[(low, j)].append(item)
         # The F3 transitions that pop `item` as their pair, if any; only
@@ -380,7 +375,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
             for uppers, lowers, tag, via, tops in pops.get((low, up), ()):
                 if uppers and top not in by_lower_at:
                     continue
-                for chain in _chains(c, item, uppers, lowers):
+                for chain in _chains(item, uppers, lowers, by_lower_at, by_upper_at):
                     first = chain[0]
                     pushed = tops.get(first[0])
                     if pushed is not None:

@@ -43,10 +43,10 @@ def test_justifications_record_splits(cnf_grammar):
     c = cky_parse(cnf_grammar, "aabb")
     lex = c.justifications[(0, "A", 1)]
     assert lex == [CkyJustification(cnf_grammar.rules[5], None)]
-    wide = c.justifications[(0, "S", 4)]
+    wide = map(CkyJustification._make, c.justifications[(0, "S", 4)])
     rules = {(str(j.rule), j.split) for j in wide}
     assert rules == {("S -> A A", 1), ("S -> S S", 2), ("S -> S S", 3)}
-    ambiguous = c.justifications[(0, "A", 4)]
+    ambiguous = map(CkyJustification._make, c.justifications[(0, "A", 4)])
     assert {(str(j.rule), j.split) for j in ambiguous} == {
         ("A -> A A", 1),
         ("A -> A S", 2),

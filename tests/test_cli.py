@@ -341,6 +341,16 @@ def test_dot_output(run, grammars, tmp_path):
     assert text.endswith("}\n")
 
 
+def test_dot_to_missing_directory_is_a_usage_error(run, grammars, tmp_path):
+    # The verdict is printed before the chart is written, so it stands.
+    target = tmp_path / "missing" / "chart.dot"
+    argv = ["--grammar", grammars["expr"], "--input", "a", "--algorithm", "topdown"]
+    code, out, err = run(*argv, "--dot", str(target))
+    assert (code, out) == (2, "RECOGNIZED\n")
+    assert err == f"tabparse: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_oracle_agreement(run, grammars):
     code, out, _ = run(
         "--grammar", grammars["expr"], "--input", "a + a", "--oracle"

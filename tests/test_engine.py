@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
 from tabparse.algorithms import ALGORITHMS
-from tabparse.cky import cky_parse
+from tabparse.cky import CkyJustification, cky_parse
 from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import (
     BOTTOM,
@@ -539,13 +539,6 @@ def test_f3_partners_found_from_below():
         for below in (("s", 0, "x", 1), late):
             assert js[below[:2] + ("f", 2)] == [("F3", (below, ("x", 1, "y", 2)), pop_y)]
             assert js[below[:2] + ("g", 2)] == [("F3", (below, ("x", 1, "z", 2)), pop_z)]
-        # Only arcs some F3 transition pops as its pair are indexed as pairs,
-        # and a machine without multi-pop entries indexes no arc by its
-        # lower vertex.
-        assert dict(chart.pairs_at) == {
-            ("x", 1): {"y": [("x", 1, "y", 2)], "z": [("x", 1, "z", 2)]},
-        }
-        assert not chart.by_lower_at
     replay_justifications(c)
 
 
@@ -749,6 +742,11 @@ def _engine_just(just):
     return f"{tag} [{text}] {'-' if via is None else via}"
 
 
+def _cky_just(just):
+    j = CkyJustification._make(just)
+    return f"{j.rule} split {j.split}"
+
+
 def engine_chart_text():
     """Every engine chart of the demo grammars in chart order: each item,
     then its justifications in the order they were recorded."""
@@ -773,7 +771,7 @@ def engine_chart_text():
                     f"cky {name} {text!r}",
                     c,
                     lambda key: "T[{0},{2}] {1}".format(*key),
-                    lambda just: f"{just.rule} split {just.split}",
+                    _cky_just,
                 )
     return "\n".join(lines) + "\n"
 
@@ -783,3 +781,22 @@ def test_engine_charts_golden():
     # machine and CKY: the engine's trigger tables and partner indexes may
     # change how partners are found, never the order in which they fire.
     assert engine_chart_text() == CHART_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_charts_keep_only_their_entries(expr_grammar, cnf_grammar):
+    # Each saturation loop owns its search indexes; a chart keeps only what
+    # recognition, forests and dumps read, all of it plain tuples, and
+    # `fired` is the number of justifications it recorded.
+    aug, tokens = augment_start(expr_grammar), "a + a * a".split()
+    charts = [
+        run_tabular(compile_topdown(aug), tokens),
+        run_tabular(compile_lr(aug), tokens),
+        earley_parse(aug, tokens),
+        cky_parse(cnf_grammar, "aabb"),
+    ]
+    indexes = {"by_upper_at", "by_lower_at", "pairs_at", "active_at", "completed_at"}
+    for c in charts:
+        assert not indexes & set(vars(c))
+        assert all(type(e) is tuple for e in c.justifications)
+        assert all(type(j) is tuple for js in c.justifications.values() for j in js)
+        assert c.fired == sum(map(len, c.justifications.values()))

@@ -850,66 +850,7 @@ def _reference_count(f):
     return counts.get(f.start, 0), False
 
 
-def _reference_gen_trees(node_, limit, by_head):
-    """The recursive enumeration: (rule, children) trees at most `limit`
-    rule applications deep, with their depths, in rule order."""
-    if isinstance(node_, str):
-        yield node_, 0
-        return
-    if limit <= 0:
-        return
-    for r in by_head.get(node_, ()):
-        for children, d in _reference_gen_bodies(r.body, limit - 1, by_head):
-            yield (r, children), d + 1
-
-
-def _reference_gen_bodies(parts, limit, by_head):
-    if not parts:
-        yield (), 0
-        return
-    for first, d0 in _reference_gen_trees(parts[0], limit, by_head):
-        for rest, d1 in _reference_gen_bodies(parts[1:], limit, by_head):
-            yield (first,) + rest, max(d0, d1)
-
-
-def _reference_choose(f, k):
-    """Up to k forest trees, each as its rules in preorder; cyclic forests
-    in rounds of increasing depth."""
-    by_head = {}
-    for r in f.rules:
-        by_head.setdefault(r.head, []).append(r)
-    reached, stack = {f.start}, [f.start]
-    while stack:
-        for r in by_head.get(stack.pop(), ()):
-            for b in r.body:
-                if not isinstance(b, str) and b not in reached:
-                    reached.add(b)
-                    stack.append(b)
-
-    def preorder(t):
-        out, todo = [], [t]
-        while todo:
-            t = todo.pop()
-            if not isinstance(t, str):
-                out.append(t[0])
-                todo.extend(reversed(t[1]))
-        return out
-
-    if not _reference_count(f)[1]:
-        found = _reference_gen_trees(f.start, len(reached) + 1, by_head)
-        return [preorder(t) for t, _ in itertools.islice(found, k)]
-    chosen, depth = [], 1
-    while len(chosen) < k and depth <= (len(reached) + 2) * (k + 2):
-        for t, d in _reference_gen_trees(f.start, depth, by_head):
-            if d == depth:
-                chosen.append(preorder(t))
-                if len(chosen) >= k:
-                    break
-        depth += 1
-    return chosen
-
-
-# Every step names a rule, so each adds a level, as `_reference_choose` counts.
+# Every step names a rule, so each adds a level.
 @given(_forests(st.just(_RULE)))
 @example(
     ParseForest(
@@ -944,8 +885,9 @@ def test_count_and_choice_match_references(f):
     # Steps carry their kids after the rule's three fields.
     rules_only = lambda trees: [[step[:3] for step in t] for t in trees]
     for k in range(1, 6):
-        assert rules_only(_choose_trees(reduced, k)) == _reference_choose(reduced, k)
-        assert rules_only(_choose_trees(rebuilt, k)) == _reference_choose(reduced, k)
+        expected = _reference_choose_by_rule(reduced, k)
+        assert rules_only(_choose_trees(reduced, k)) == expected
+        assert rules_only(_choose_trees(rebuilt, k)) == expected
 
 
 def _is_comb(t, n, left):

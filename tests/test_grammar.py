@@ -66,6 +66,14 @@ def test_duplicate_rule_warns_and_drops():
     assert g.rules == (Rule("S", ("a",)),)
 
 
+def test_grammar_needs_rules_without_repeats():
+    with pytest.raises(GrammarError, match="^grammar has no rules$"):
+        Grammar((), "S")
+    rule = Rule("S", ("a",))
+    with pytest.raises(GrammarError, match="^duplicate rules in rule list$"):
+        Grammar((rule, Rule("S", ("b",)), rule), "S")
+
+
 def test_start_needs_a_rule():
     with pytest.raises(GrammarError):
         Grammar((Rule("A", ("a",)),), "S")
