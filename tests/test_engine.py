@@ -783,6 +783,36 @@ def test_engine_charts_golden():
     assert engine_chart_text() == CHART_GOLDEN.read_text(encoding="utf-8")
 
 
+EARLEY_GOLDEN = Path(__file__).resolve().parent / "golden/earley-charts.txt"
+
+
+def _earley_just(just):
+    tag, ants, token = just
+    text = " ; ".join(str(EarleyItem._make(a)) for a in ants)
+    return f"{tag} [{text}] {'-' if token is None else token}"
+
+
+def earley_chart_text():
+    """Every Earley chart of the demo grammars, lifo then fifo, in chart
+    order: each item, then its justifications in the order they were
+    recorded."""
+    lines = []
+    for name, inputs in CHART_INPUTS.items():
+        aug = augment_start(parse_grammar((DEMO_GRAMMARS / name).read_text(encoding="utf-8")))
+        for text in inputs:
+            for order in ("lifo", "fifo"):
+                c = earley_parse(aug, text.split(), agenda_order=order)
+                title = f"earley {name} {text!r} {order}"
+                lines += _render_chart(title, c, lambda it: str(EarleyItem._make(it)), _earley_just)
+    return "\n".join(lines) + "\n"
+
+
+def test_earley_charts_golden():
+    # The same pin for `earley_parse`: its indexes and prediction lists may
+    # change how partners are found, never the order in which they fire.
+    assert earley_chart_text() == EARLEY_GOLDEN.read_text(encoding="utf-8")
+
+
 def test_charts_keep_only_their_entries(expr_grammar, cnf_grammar):
     # Each saturation loop owns its search indexes; a chart keeps only what
     # recognition, forests and dumps read, all of it plain tuples, and
