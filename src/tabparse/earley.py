@@ -7,7 +7,14 @@ fires when the second of its two partners is popped, whichever it is.
 Prediction is positional: the rules predicted for B at i depend only on
 (B, i), so they fire once, when the first item waiting for B at i is
 popped, with the justification ("predict", (), None).  `fired` counts the
-recorded justifications, one per inference.
+recorded justifications, one per inference.  The rules predicted for a
+nonterminal are listed once per grammar (`PredictedRules`), on the first
+parse that predicts it.
+
+The loop files a popped item only where a completion looks it up: a
+completed item by (its left-hand side, its origin), an item waiting for a
+nonterminal by (that goal, its end).  An item waiting for a token is
+scanned at once and filed nowhere.
 
 As in the engine, the chart stores plain tuples read by position: items
 (origin, dotted, end) and justifications (tag, antecedents, token).
@@ -66,20 +73,39 @@ class EarleyChart(Deduction):
         )
 
 
+class PredictedRules(dict):
+    """Nonterminal -> its rules with the dot first, in rule order: what
+    Earley predicts for it.  One per grammar, kept on it and filled on
+    first use, so repeated parses with one grammar build each list once and
+    grammar setup builds none."""
+
+    def __init__(self, g: Grammar):
+        self.rules_for = g.rules_for
+
+    def __missing__(self, goal: str) -> tuple[DottedRule, ...]:
+        rules = self[goal] = tuple(DottedRule(r, 0) for r in self.rules_for(goal))
+        return rules
+
+
 def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
     """Saturate the Earley chart of `g` on `tokens`; see `engine.Deduction`
     for the insertion idiom and `agenda_order`."""
     c = EarleyChart(g, tokens, agenda_order)
     tokens = c.tokens
     n = len(tokens)
-    justifications, push = c.justifications, c.agenda.append
+    justifications, agenda, pop = c.justifications, c.agenda, c.pop
+    push = agenda.append
     # Popped active items by (their nonterminal goal, their end position);
     # popped completed items by (their left-hand side, their origin).
     active_at, completed_at = defaultdict(list), defaultdict(list)
 
     nonterminals = g.nonterminals
-    predicted: dict[str, list[DottedRule]] = {}  # nonterminal -> its rules, dot first
-    for item in c.popped():
+    predicted = g._predicted_rules
+    if predicted is None:
+        predicted = PredictedRules(g)
+        object.__setattr__(g, "_predicted_rules", predicted)
+    while agenda:
+        item = pop()
         origin, dotted, end = item
         goal = dotted.goal
         if goal is None:
@@ -99,11 +125,8 @@ def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
             # Positional: the prediction depends only on (goal, end), so the
             # first item waiting there fires it, once per vertex.
             if len(waiting) == 1:
-                rules = predicted.get(goal)
-                if rules is None:
-                    rules = predicted[goal] = [DottedRule(r, 0) for r in g.rules_for(goal)]
                 just = ("predict", (), None)  # a constant: folded, not built
-                for d in rules:
+                for d in predicted[goal]:
                     new = (end, d, end)
                     if new in justifications:
                         justifications[new].append(just)
@@ -123,6 +146,7 @@ def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
             new = (origin, dotted.advance(), end + 1)
             justifications[new] = [("scan", (item,), goal)]
             push(new)
+    c.finish()
     return c
 
 

@@ -39,6 +39,21 @@ three share one table, keyed by the popped arc, and one loop: each popped
 item looks up the path cells it can fill and walks the rest of each path
 from there (`_chains`).  Reductions supply their own entries.
 
+An index exists to serve a lookup, so the loop files a popped arc only
+where some inference will look it up.  By its upper vertex (`by_upper_at`)
+only when the record of its top symbol has pushes, its own F1 or F4 ones
+or the F6 pushes every record holds.  That index serves the pushes'
+first-arc test, the F3 pair's lookup of the arcs beneath it and the
+backward steps of `_chains`.  The last two look up only the lower vertex
+of an existing arc, and every lower vertex but the axiom's (on which no
+arc ends) exists because a push fired onto it, so its symbol has pushes
+and its arcs are all filed.  A topdown machine thus leaves complete and
+terminal-goal dotted rules out, and a binarized LR machine its aux cells.
+By its lower vertex (`by_lower_at`) only when the machine has multi-pop
+entries, for the forward steps of `_chains`; and under its lower vertex
+and upper symbol (`pairs_at`) only when some F3 transition pops it as its
+pair.
+
 Chart format: the saturation loop stores plain tuples and reads them by
 position, so no constructor runs per inference.  An item is the tuple
 (lower, lower_pos, upper, upper_pos) and a justification the tuple (tag,
@@ -91,8 +106,10 @@ class Deduction:
     1995, "Principles and implementation of deductive parsing").
 
     The chart is `justifications`, from each item to the ways it was
-    inferred; it starts with the axiom, which starts the agenda too.  The
-    saturation loops fire an inference without a call, in one idiom:
+    inferred; it starts with the axiom, which starts the agenda too.  A
+    saturation loop runs inline, `while agenda: item = pop()`, with `pop`
+    the agenda's end for `agenda_order`, and fires an inference without a
+    call, in one idiom:
 
         if new in justifications:
             justifications[new].append(just)
@@ -100,13 +117,15 @@ class Deduction:
             justifications[new] = [just]
             push(new)  # the agenda's append
 
-    A loop indexes each item from `popped` in search indexes of its own,
-    not the chart's, *before* matching it, and matches it only against
-    items already popped.  So an
-    inference fires exactly once, when the last of its antecedents is
-    popped, and `fired`, set when the agenda runs dry, counts distinct
-    justifications.  The result is independent of `agenda_order` ("lifo" or
-    "fifo"); the knob exists to let tests check exactly that.
+    A loop indexes each popped item in search indexes of its own, not the
+    chart's, *before* matching it, and matches it only against items
+    already popped.  So an inference fires exactly once, when the last of
+    its antecedents is popped.  An index exists to serve a lookup, so a
+    loop files only the items some inference will look up; the `engine`
+    and `earley` module docstrings say which.  When the agenda has run dry
+    the loop calls `finish`, the one place that sets `fired`.  The result
+    is independent of `agenda_order` ("lifo" or "fifo"); the knob exists to
+    let tests check exactly that.
     """
 
     def __init__(self, tokens, axiom, just, agenda_order: str = "lifo"):
@@ -117,13 +136,11 @@ class Deduction:
         self.items = self.justifications.keys()
         self.fired = 1
         self.agenda: deque = deque([axiom])
-        self._lifo = agenda_order == "lifo"
+        self.pop = self.agenda.pop if agenda_order == "lifo" else self.agenda.popleft
 
-    def popped(self):
-        agenda = self.agenda
-        pop = agenda.pop if self._lifo else agenda.popleft
-        while agenda:
-            yield pop()
+    def finish(self) -> None:
+        """Set `fired`, the number of distinct justifications: one per
+        inference, since each fires once."""
         self.fired = sum(map(len, self.justifications.values()))
 
 
@@ -224,7 +241,10 @@ def _trigger_tables(p: Pda) -> tuple:
     `f3_first` lists the F3 entries (upper of the pair, pushed, transition)
     whose pair has the symbol as its lower end, so the popped arc is the
     one beneath that pair.  Symbols no transition names share the default
-    record, which holds only the F6 pushes, since F6 pops nothing.
+    record, which holds only the F6 pushes, since F6 pops nothing.  A
+    record's `pushes` also say whether the engine files an arc topped by
+    its symbol by upper vertex: only when there are some, since every
+    lookup in that index is at a vertex a push made (module docstring).
 
     `pops` is the multi-pop table: literal F7 transitions, then the lazy
     reductions and acceptance of a shift-reduce machine, all of which fire
@@ -301,38 +321,57 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     n = len(tokens)
     records, default, pops, _ = _trigger_tables(p)
 
-    justifications, push = c.justifications, c.agenda.append
-    # Popped arcs by upper vertex, by lower vertex (for `_chains` only), and
-    # those some F3 transition pops as its pair, by lower vertex, then upper.
-    by_upper_at, by_lower_at = defaultdict(list), defaultdict(list)
-    pairs_at = defaultdict(lambda: defaultdict(list))
+    justifications, agenda, pop = c.justifications, c.agenda, c.pop
+    push = agenda.append
+    # Popped arcs by upper vertex (only those whose top symbol has pushes),
+    # by lower vertex (for `_chains` only), and those some F3 transition
+    # pops as its pair, by lower vertex, then upper symbol.
+    by_upper_at: dict = {}
+    by_lower_at: dict = {}
+    pairs_at: dict = {}
 
-    for item in c.popped():
+    while agenda:
+        item = pop()
         low, j, up, i = item
         pushes, swaps, f3, f3_first = records.get(up, default)
         top = (up, i)
-        arcs_in = by_upper_at[top]
-        arcs_in.append(item)
-        if pops:
-            by_lower_at[(low, j)].append(item)
-        # The F3 transitions that pop `item` as their pair, if any; only
-        # such arcs are indexed for the F3 loop from below.
-        as_pair = f3.get(low)
-        if as_pair is not None:
-            pairs_at[(low, j)][up].append(item)
         tok = tokens[i] if i < n else None
 
         # Positional: a push onto vertex (up, i) needs only that the vertex
         # exists, so the first arc ending there fires it, once per vertex.
-        if len(arcs_in) == 1:
-            for a, pushed, step, just in pushes:
-                if a is None or a == tok:
-                    new = (up, i, pushed, i + step)
-                    if new in justifications:
-                        justifications[new].append(just)
-                    else:
-                        justifications[new] = [just]
-                        push(new)
+        # Arcs whose top symbol has no pushes stay out of the index: every
+        # lookup below is at the lower vertex of an arc, and a push made it.
+        if pushes:
+            arcs_in = by_upper_at.get(top)
+            if arcs_in is not None:
+                arcs_in.append(item)
+            else:
+                by_upper_at[top] = [item]
+                for a, pushed, step, just in pushes:
+                    if a is None or a == tok:
+                        new = (up, i, pushed, i + step)
+                        if new in justifications:
+                            justifications[new].append(just)
+                        else:
+                            justifications[new] = [just]
+                            push(new)
+        if pops:
+            arcs_out = by_lower_at.get((low, j))
+            if arcs_out is not None:
+                arcs_out.append(item)
+            else:
+                by_lower_at[(low, j)] = [item]
+        # The F3 transitions that pop `item` as their pair, if any; only
+        # such arcs are indexed for the F3 loop from below.
+        as_pair = f3.get(low)
+        if as_pair is not None:
+            above = pairs_at.get((low, j))
+            if above is None:
+                pairs_at[(low, j)] = {up: [item]}
+            elif up in above:
+                above[up].append(item)
+            else:
+                above[up] = [item]
 
         for keep, a, repl, step, tag, t in swaps:
             if (a is None or a == tok) and (keep is None or keep == low):
@@ -370,7 +409,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
         # Multi-pop: F7, reductions and acceptance, on each path through
         # `item` in each cell it can fill.  A machine with none of them
         # skips building the (low, up) key.  A path on above `item` needs an
-        # arc from its top vertex (`in`: indexing would add the key).
+        # arc from its top vertex.
         if pops:
             for uppers, lowers, tag, via, tops in pops.get((low, up), ()):
                 if uppers and top not in by_lower_at:
@@ -386,6 +425,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
                             justifications[new] = [just]
                             push(new)
 
+    c.finish()
     return c
 
 

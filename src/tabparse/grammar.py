@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 ARROW = "->"
 
@@ -48,6 +48,9 @@ class Grammar:
     # None.  Not part of equality: two grammars with the same rules and start
     # describe the same language.
     augmented_from: str | None = field(default=None, compare=False)
+    # Earley's prediction lists (`earley.PredictedRules`), made by the first
+    # parse that needs them.
+    _predicted_rules: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rules:

@@ -124,3 +124,16 @@ def test_item_str(expr_grammar):
     it = EarleyItem(0, DottedRule(expr_grammar.rules[0], 1), 3)
     assert str(it) == "( 0 , S -> E . , 3 )"
 
+
+
+def test_predicted_rules_built_once_per_grammar(expr_grammar):
+    # Grammar setup lists no prediction; the first parse lists those it
+    # makes and keeps them on the grammar for the next parse.
+    g = augment_start(expr_grammar)
+    assert g._predicted_rules is None
+    first = earley_parse(g, "a + a".split())
+    table = g._predicted_rules
+    assert dict(table) == {"E": tuple(DottedRule(r, 0) for r in g.rules_for("E"))}
+    again = earley_parse(g, "a * a".split())
+    assert g._predicted_rules is table
+    assert earley_recognized(first) and earley_recognized(again)

@@ -542,6 +542,94 @@ def test_f3_partners_found_from_below():
     replay_justifications(c)
 
 
+# The engine files an arc by its upper vertex only when its top symbol has
+# pushes.  Each machine below needs that index for one reason: an F6 push
+# onto symbols with no pushes of their own, and an F3 or F7 pop whose
+# lookup below must find a second arc into vertex (x, 1).  Both arcs into
+# (x, 1) come through F5 swaps; under fifo the one resting on s is popped
+# after the first but before the cell above (x, 1), so only the index finds
+# it.
+def swapped_into_x(pop: Transition) -> Pda:
+    return Pda(
+        frozenset("ab"),
+        frozenset({"s", "t", "u", "u2", "u3", "v", "w", "x", "y", "f"}),
+        "s",
+        "f",
+        (
+            T(("s",), ("a",), ("s", "u")),
+            T(("s",), (), ("s", "t")),
+            T(("u",), (), ("u2",)),
+            T(("u2",), (), ("u3",)),
+            T(("u3",), (), ("x",)),
+            T(("t",), ("a",), ("t", "v")),
+            T(("v",), (), ("x",)),
+            T(("x",), ("b",), ("x", "y")),
+            pop,
+            T(("s", "w"), (), ("f",)),
+        ),
+    )
+
+
+SWAPPED_ARCS = {
+    (BOTTOM, 0, "s", 0),
+    ("s", 0, "u", 1),
+    ("s", 0, "t", 0),
+    ("s", 0, "u2", 1),
+    ("t", 0, "v", 1),
+    ("s", 0, "u3", 1),
+    ("t", 0, "x", 1),
+    ("s", 0, "x", 1),
+    ("x", 1, "y", 2),
+    ("s", 0, "w", 2),
+    (BOTTOM, 0, "f", 2),
+}
+
+
+def assert_index_reason(p, tokens, items, key, justification):
+    """Both agenda orders give exactly `items`, record only `justification`
+    for `key` and accept, as the simulator does."""
+    charts = {order: run_tabular(p, tokens, agenda_order=order) for order in ("lifo", "fifo")}
+    replay_justifications(assert_fires_once(charts.get))
+    for order, c in charts.items():
+        assert set(c.items) == items, order
+        assert c.justifications[key] == [justification], order
+        assert recognized(c), order
+    assert simulate(p, tokens).verdict == "yes"
+
+
+def test_index_serves_f3_pairs_on_swapped_arcs():
+    pop = T(("x", "y"), (), ("w",))
+    items = SWAPPED_ARCS | {("t", 0, "w", 2)}
+    pair = ("x", 1, "y", 2)
+    just = ("F3", (("s", 0, "x", 1), pair), pop)
+    assert_index_reason(swapped_into_x(pop), ["a", "b"], items, ("s", 0, "w", 2), just)
+
+
+def test_index_serves_f7_walks_on_swapped_arcs():
+    # A two-cell F7: the walk back from the cell (x, y) reads the arcs into
+    # (x, 1) and keeps the one resting on s.
+    pop = T(("s", "x", "y"), (), ("s", "w"))
+    just = ("F7", (("s", 0, "x", 1), ("x", 1, "y", 2)), pop)
+    assert_index_reason(swapped_into_x(pop), ["a", "b"], SWAPPED_ARCS, ("s", 0, "w", 2), just)
+
+
+def test_index_serves_f6_pushes():
+    # No symbol has pushes of its own, so every push here is an F6 one and
+    # fires once per vertex.  The initial symbol is a bottom marker, so the
+    # arc (s, 0, f, 2) accepts.
+    reads_a, reads_b = T((), ("a",), ("x",)), T((), ("b",), ("y",))
+    p = Pda(
+        frozenset("ab"),
+        frozenset("sxyf"),
+        "s",
+        "f",
+        (reads_a, T(("x",), ("b",), ("f",)), reads_b),
+        bottom_marker_start=True,
+    )
+    items = {(BOTTOM, 0, "s", 0), ("s", 0, "x", 1), ("x", 1, "y", 2), ("s", 0, "f", 2)}
+    assert_index_reason(p, ["a", "b"], items, ("x", 1, "y", 2), ("F6", (), reads_b))
+
+
 @given(RANDOM_GRAMMARS, st.lists(st.sampled_from("ab"), max_size=4))
 def test_inferences_fire_once(rules, tokens):
     g = Grammar(tuple(rules), rules[0].lhs)
