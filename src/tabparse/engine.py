@@ -40,19 +40,20 @@ item looks up the path cells it can fill and walks the rest of each path
 from there (`_chains`).  Reductions supply their own entries.
 
 An index exists to serve a lookup, so the loop files a popped arc only
-where some inference will look it up.  By its upper vertex (`by_upper_at`)
-only when the record of its top symbol has pushes, its own F1 or F4 ones
-or the F6 pushes every record holds.  That index serves the pushes'
-first-arc test, the F3 pair's lookup of the arcs beneath it and the
-backward steps of `_chains`.  The last two look up only the lower vertex
-of an existing arc, and every lower vertex but the axiom's (on which no
-arc ends) exists because a push fired onto it, so its symbol has pushes
-and its arcs are all filed.  A topdown machine thus leaves complete and
-terminal-goal dotted rules out, and a binarized LR machine its aux cells.
-By its lower vertex (`by_lower_at`) only when the machine has multi-pop
-entries, for the forward steps of `_chains`; and under its lower vertex
-and upper symbol (`pairs_at`) only when some F3 transition pops it as its
-pair.
+where some inference will look it up.  An arc goes into `by_upper_at`, the
+index by upper vertex, only when the record of its top symbol has pushes:
+its own F1 or F4 ones, or the F6 pushes every record holds.  This index
+serves three lookups: the pushes' first-arc test, the F3 pair's lookup of
+the arcs beneath it, and the backward steps of `_chains`.  The last two
+look only at the lower vertex of an existing arc.  Every such vertex but
+the axiom's, on which no arc ends, exists because a push fired onto it;
+so its symbol has pushes, and every arc ending there is filed.  A topdown
+machine thus never files its complete or terminal-goal dotted rules, an
+LR machine its states without shifts, and a binarized one its aux cells.
+An arc goes into `by_lower_at`, the index by lower vertex, only when the
+machine has multi-pop entries, for the forward steps of `_chains`.  It
+goes into `pairs_at`, under its lower vertex and upper symbol, only when
+some F3 transition pops it as its pair.
 
 Chart format: the saturation loop stores plain tuples and reads them by
 position, so no constructor runs per inference.  An item is the tuple
@@ -107,9 +108,9 @@ class Deduction:
 
     The chart is `justifications`, from each item to the ways it was
     inferred; it starts with the axiom, which starts the agenda too.  A
-    saturation loop runs inline, `while agenda: item = pop()`, with `pop`
-    the agenda's end for `agenda_order`, and fires an inference without a
-    call, in one idiom:
+    saturation loop runs inline, `while agenda: item = pop()`, where `pop`
+    is the agenda's `pop` under "lifo" and its `popleft` under "fifo", and
+    fires an inference without a call, in one idiom:
 
         if new in justifications:
             justifications[new].append(just)
@@ -117,7 +118,7 @@ class Deduction:
             justifications[new] = [just]
             push(new)  # the agenda's append
 
-    A loop indexes each popped item in search indexes of its own, not the
+    A loop files a popped item in search indexes of its own, not the
     chart's, *before* matching it, and matches it only against items
     already popped.  So an inference fires exactly once, when the last of
     its antecedents is popped.  An index exists to serve a lookup, so a
@@ -326,9 +327,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     # Popped arcs by upper vertex (only those whose top symbol has pushes),
     # by lower vertex (for `_chains` only), and those some F3 transition
     # pops as its pair, by lower vertex, then upper symbol.
-    by_upper_at: dict = {}
-    by_lower_at: dict = {}
-    pairs_at: dict = {}
+    by_upper_at, by_lower_at, pairs_at = {}, {}, {}
 
     while agenda:
         item = pop()
