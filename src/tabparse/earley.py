@@ -155,8 +155,9 @@ def earley_recognized(c: EarleyChart) -> bool:
 
 
 def earley_ambiguous_final(c: EarleyChart) -> int:
-    """How many completions derive the final item; 0 when unrecognized,
-    more than 1 signals ambiguity detected without building any forest."""
+    """How many completions derive the final item; 0 when unrecognized.
+    Above 1 proves the input ambiguous without building any forest; 1 does
+    not prove it unambiguous, since trees may differ below the last step."""
     return sum(
         1
         for tag, _, _ in c.justifications.get(c.final_item(), ())

@@ -76,7 +76,9 @@ BOTTOM = Marker("bot")
 
 
 class UnsupportedTransition(ValueError):
-    """The transition falls outside the family the table rules cover."""
+    """The machine falls outside what the table rules cover: a transition
+    of another shape, or a value the engine reserves: `BOTTOM`, the axiom's
+    lower end, and None, its wildcard for stack and input symbols."""
 
 
 class Item(NamedTuple):
@@ -267,6 +269,11 @@ def _trigger_tables(p: Pda) -> tuple:
     pushes two symbols, the first being the one it pops first."""
     if p._triggers is not None:
         return p._triggers
+    for sym in (None, BOTTOM):
+        if sym in p.stack_symbols:
+            raise UnsupportedTransition(f"stack symbol {sym} is reserved by the engine")
+    if None in p.input_alphabet:
+        raise UnsupportedTransition("input symbol None is reserved by the engine")
     f1, f2, f4, f5, f3_first = (defaultdict(list) for _ in range(5))  # upper -> entries
     family = {"F1": f1, "F2": f2, "F4": f4, "F5": f5}
     f6 = []

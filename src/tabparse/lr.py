@@ -18,21 +18,23 @@ from collections import defaultdict
 from typing import NamedTuple, Optional
 
 from .grammar import Grammar, GrammarError, Rule, has_epsilon_rules
-from .pda import Marker, Pda, Transition
+from .pda import Interned, Marker, Pda, Transition
 from .strategies import DottedRule
 
 FINAL = Marker("q_final")
 
 
-class LrState(NamedTuple):
+class LrState(Interned):
+    """An automaton state: its id, by discovery, and its items."""
+
+    __slots__ = ("id", "items")
     id: int
     items: frozenset[DottedRule]
 
     def __str__(self) -> str:
         return f"q{self.id}"
 
-    def __repr__(self) -> str:
-        return f"q{self.id}"
+    __repr__ = __str__
 
 
 class LrAutomaton:
@@ -109,10 +111,11 @@ class Reduction(NamedTuple("StateRule", [("state", LrState), ("rule", Rule)])):
                         yield (lower, upper), (uppers, down, "accept", self, {bottom: FINAL})
 
 
-class AuxSymbol(NamedTuple):
+class AuxSymbol(Interned):
     """Intermediate stack symbol of a binarized reduction: `remaining` more
     right-hand-side cells are still to be popped for `rule`."""
 
+    __slots__ = ("rule", "remaining")
     rule: Rule
     remaining: int
 
@@ -241,15 +244,15 @@ def binarize_reductions(p: Pda) -> Pda:
     for red in p.reductions:
         top = red.state
         possible = chain_states(auto, red)
-        # Pop the cells above position 0 one at a time, top first; states
-        # sort by id, their first field.
+        # Pop the cells above position 0 one at a time, top first, over
+        # states in id order.
         for k in range(len(red.rule.rhs) - 1, 0, -1):
             owed = AuxSymbol(red.rule, k - 1)
             owing.append(owed)
-            for q in sorted(possible[k]):
+            for q in sorted(possible[k], key=lambda q: q.id):
                 transitions[Transition((q, top), (), (owed,))] = None
             top = owed
-        for q0 in sorted(possible[0]):
+        for q0 in sorted(possible[0], key=lambda q: q.id):
             for tail in red.leaves(q0):
                 t = Transition((q0, top), (), tail)
                 transitions[t] = None

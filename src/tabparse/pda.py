@@ -6,8 +6,8 @@ that suffix with ``push`` and advances past the read tokens.  No separate
 finite control: all state lives on the stack.  Recognition is reaching a
 designated final stack from the initial one after consuming the whole input.
 
-Stack symbols are opaque hashable values.  Grammar compilers push dotted
-rules or automaton states; what matters here is only equality and str().
+Stack symbols are opaque hashable values.  Grammar compilers push
+`Interned` ones; what matters here is only equality and str().
 """
 
 from __future__ import annotations
@@ -16,38 +16,54 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
 
-class Marker:
-    """Display-only stack symbol (bottom markers and the like).
+class Interned:
+    """Hash-consed stack symbol (Filliâtre & Conchon 2006): ``cls(*key)``
+    returns the one instance of `cls` for that key, from the class's own
+    table, so instances compare and hash by identity.  A subclass lists its
+    key fields first in ``__slots__``, and `_derive(*key)` gives the slots
+    after them, once per key.  Instances are immutable; copies and pickles
+    give back the same object.  No subclass defines ``__eq__``, ``__hash__``
+    or an ordering: any rich comparison sends every ``==`` through a
+    Python-level slot, which the engine's loops would pay on each compare."""
 
-    Hash-consed like `strategies.DottedRule`: ``Marker(name)`` returns the
-    one marker of that name, so markers compare and hash by identity.  A
-    marker never equals a plain string, so it cannot collide with a grammar
-    symbol spelled the same way.
-    """
+    __slots__ = ("_key",)
+    _derive = staticmethod(lambda *key: ())
 
-    __slots__ = ("name",)
-    _table: dict[str, "Marker"] = {}
+    def __init_subclass__(cls):
+        cls._table = {}
 
-    def __new__(cls, name: str) -> "Marker":
-        self = cls._table.get(name)
+    def __new__(cls, *key):
+        self = cls._table.get(key)
         if self is not None:
             return self
         self = object.__new__(cls)
-        object.__setattr__(self, "name", name)
+        for name, value in zip(("_key",) + cls.__slots__, (key,) + key + cls._derive(*key)):
+            object.__setattr__(self, name, value)
         # setdefault keeps the table's instance if another thread won the race.
-        return cls._table.setdefault(name, self)
+        return cls._table.setdefault(key, self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return Marker, (self.name,)
+        return type(self), self._key
 
     def __repr__(self) -> str:
-        return self.name
+        fields = zip(type(self).__slots__, self._key)
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+class Marker(Interned):
+    """Display-only stack symbol (bottom markers and the like), one per
+    name.  A marker never equals a plain string, so it cannot collide with
+    a grammar symbol spelled the same way."""
+
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return self.name
+
+    __repr__ = __str__
 
 
 class Transition(NamedTuple):

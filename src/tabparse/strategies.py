@@ -10,51 +10,23 @@ which strategy built them.
 from __future__ import annotations
 
 from .grammar import Grammar, GrammarError, Rule, is_cnf
-from .pda import Marker, Pda, Transition
+from .pda import Interned, Marker, Pda, Transition
 
 
-class DottedRule:
-    """A rule with a progress marker: A -> alpha . beta.
-
-    Hash-consed: ``DottedRule(rule, dot)`` returns the one instance for that
-    pair, so dotted rules compare and hash by identity, and chart items built
-    from them hash without descending into the rule's strings.
-    """
+class DottedRule(Interned):
+    """A rule with a progress marker: A -> alpha . beta, one per (rule,
+    dot).  `goal` is the symbol right of the dot, None when complete."""
 
     __slots__ = ("rule", "dot", "goal", "is_complete", "_text", "_next")
-    _table: dict[tuple[Rule, int], "DottedRule"] = {}
 
-    def __new__(cls, rule: Rule, dot: int) -> "DottedRule":
-        self = cls._table.get((rule, dot))
-        if self is not None:
-            return self
-        self = object.__new__(cls)
+    @staticmethod
+    def _derive(rule: Rule, dot: int) -> tuple:
         rhs = rule.rhs
-        fields = {
-            "rule": rule,
-            "dot": dot,
-            # The symbol right of the dot, None when complete.
-            "goal": rhs[dot] if dot < len(rhs) else None,
-            "is_complete": dot == len(rhs),
-            "_text": " ".join([rule.lhs, "->", *rhs[:dot], ".", *rhs[dot:]]),
-            "_next": None,
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-        # setdefault keeps the table's instance if another thread won the race.
-        return cls._table.setdefault((rule, dot), self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return DottedRule, (self.rule, self.dot)
+        text = " ".join([rule.lhs, "->", *rhs[:dot], ".", *rhs[dot:]])
+        return (rhs[dot] if dot < len(rhs) else None, dot == len(rhs), text, None)
 
     def __str__(self) -> str:
         return self._text
-
-    def __repr__(self) -> str:
-        return f"DottedRule(rule={self.rule!r}, dot={self.dot!r})"
 
     def advance(self) -> "DottedRule":
         if self._next is None:

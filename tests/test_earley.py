@@ -10,6 +10,7 @@ from tabparse.earley import (
     earley_recognized,
 )
 from tabparse.engine import Item, run_tabular
+from tabparse.forest import build_forest_items, count_trees
 from tabparse.grammar import GrammarError, augment_start, parse_grammar
 from tabparse.oracle import recognizes
 from tabparse.strategies import DottedRule, compile_topdown
@@ -58,6 +59,11 @@ def test_ambiguity_count(expr_grammar):
         EarleyItem(0, DottedRule(g.rules[1], 3), 5),
         EarleyItem(0, DottedRule(g.rules[2], 3), 5),
     }
+    # One final completion, two trees: both end in E -> E + E . over the
+    # whole input, so a count of 1 does not prove the input unambiguous.
+    c = earley_parse(expr_grammar, "a + a + a".split())
+    assert earley_ambiguous_final(c) == 1
+    assert count_trees(build_forest_items(c)).value == 2
 
 
 def test_unambiguous_final(expr_grammar):

@@ -210,6 +210,56 @@ def test_unsupported_machine_rejected():
         run_tabular(p, "ab")
 
 
+# Machines that use a value the engine reserves, each with an input that
+# the engine would recognize if it let them run, though no run accepts it.
+RESERVED_MACHINES = {
+    "bottom-as-stack-symbol": (
+        Pda(
+            frozenset("a"),
+            frozenset({"s", "f", BOTTOM}),
+            "s",
+            "f",
+            (
+                Transition(("s",), (), ("s", BOTTOM)),
+                Transition((BOTTOM, "s"), (), ("f",)),
+                Transition(("s", "f"), (), ("f",)),
+            ),
+        ),
+        (),
+        "stack symbol bot ",
+    ),
+    "none-as-kept-lower": (
+        Pda(
+            frozenset("a"),
+            frozenset({"s", "x", "y", "f", None}),
+            "s",
+            "f",
+            (
+                Transition(("s",), (), ("s", "x")),
+                Transition((None, "x"), (), (None, "y")),
+                Transition(("s", "y"), (), ("f",)),
+            ),
+        ),
+        (),
+        "stack symbol None ",
+    ),
+    "none-as-input": (
+        Pda(frozenset({"a", None}), frozenset("sf"), "s", "f", (Transition(("s",), (None,), ("f",)),)),
+        ("a",),
+        "input symbol None ",
+    ),
+}
+
+
+@pytest.mark.parametrize("order", ["lifo", "fifo"])
+@pytest.mark.parametrize("name", RESERVED_MACHINES)
+def test_reserved_values_rejected(name, order):
+    p, tokens, message = RESERVED_MACHINES[name]
+    assert simulate(p, tokens).verdict == "no"
+    with pytest.raises(UnsupportedTransition, match=message):
+        run_tabular(p, tokens, agenda_order=order)
+
+
 def test_bad_agenda_order(branching_pda):
     with pytest.raises(ValueError, match="agenda order"):
         run_tabular(branching_pda, "abcd", agenda_order="random")

@@ -785,16 +785,20 @@ from tabparse.earley import EarleyItem, earley_parse
 from tabparse.engine import Item, run_tabular
 from tabparse.forest import build_forest_items, extract_trees, reduce_forest
 from tabparse.grammar import augment_start, parse_grammar
-from tabparse.lr import compile_lr
+from tabparse.lr import binarize_reductions, compile_lr
+from tabparse.pda import dump_pda
 from tabparse.strategies import compile_topdown
 from tabparse.trees import render_tree
 
 g = augment_start(parse_grammar(Path(sys.argv[1]).read_text()))
 tokens = "a + a * a + a".split()
+binarized = binarize_reductions(compile_lr(g))
+print(dump_pda(binarized))
 for name, parse, view in [
     ("earley", lambda: earley_parse(g, tokens), EarleyItem._make),
     ("topdown", lambda: run_tabular(compile_topdown(g), tokens), Item._make),
     ("glr", lambda: run_tabular(compile_lr(g), tokens), Item._make),
+    ("glr-binarized", lambda: run_tabular(binarized, tokens), Item._make),
 ]:
     full = build_forest_items(parse())
     reduced = reduce_forest(full)
@@ -810,7 +814,9 @@ for name, parse, view in [
 
 def test_rule_order_is_the_same_under_any_hash_seed():
     # Rule order is chart order, the order items were first derived, not a
-    # sort: neither it nor the trees picked may depend on string hashing.
+    # sort: neither it nor the trees picked may depend on string hashing,
+    # nor the binarized machine's transition order on symbols hashed by
+    # address.
     here = Path(__file__).resolve().parents[1]
     printed = []
     for seed in ("0", "1"):
@@ -827,7 +833,7 @@ def test_rule_order_is_the_same_under_any_hash_seed():
         assert proc.returncode == 0, proc.stderr
         printed.append(proc.stdout)
     assert printed[0] == printed[1]
-    assert printed[0].count(" reduced\n") == 3
+    assert printed[0].count(" reduced\n") == 4
 
 
 def _reference_count(f):

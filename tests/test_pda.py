@@ -3,8 +3,10 @@ import pickle
 
 import pytest
 
+from tabparse.algorithms import ALGORITHMS
 from tabparse.pda import (
     Configuration,
+    Interned,
     Marker,
     Pda,
     Run,
@@ -15,8 +17,9 @@ from tabparse.pda import (
     pda_size,
     simulate,
 )
-from tabparse.grammar import augment_start, parse_grammar
-from tabparse.strategies import compile_topdown
+from tabparse.grammar import Rule, augment_start, parse_grammar
+from tabparse.lr import AuxSymbol, LrState
+from tabparse.strategies import DottedRule, compile_topdown
 from conftest import BRANCHING_TRANSITIONS
 
 RUN_LEFT = """\
@@ -52,21 +55,53 @@ def test_transition_str():
 def test_marker_identity():
     assert Marker("bot") == Marker("bot")
     assert Marker("bot") != Marker("top")
-    assert Marker("S") != "S"
+    assert Marker("S") != "S" and "S" != Marker("S")
+    assert len({Marker("S"), "S"}) == 2
     assert str(Marker("bot")) == "bot"
 
 
-def test_marker_is_hash_consed():
-    m = Marker("bot")
-    assert Marker("bot") is m
-    assert Marker("top") is not m
-    assert copy.copy(m) is m
-    assert copy.deepcopy(m) is m
-    assert pickle.loads(pickle.dumps(m)) is m
-    assert m != "bot" and "bot" != m
-    assert len({m, "bot"}) == 2
+INTERNED = (Marker, DottedRule, LrState, AuxSymbol)
+
+
+def _key(cls, n):
+    """A key of `cls`, built afresh on each call; equal for equal `n`."""
+    rule = Rule("E", ("E", "+", "E"))
+    return {
+        Marker: (f"m{n}",),
+        DottedRule: (rule, n),
+        LrState: (n, frozenset({DottedRule(rule, n)})),
+        AuxSymbol: (rule, n),
+    }[cls]
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda cls: cls.__name__)
+def test_symbol_is_hash_consed(cls):
+    s = cls(*_key(cls, 1))
+    assert type(s) is cls and isinstance(s, Interned)
+    assert cls(*_key(cls, 1)) is s
+    assert cls(*_key(cls, 2)) is not s
+    # Each class has a table of its own.
+    assert all(other(*_key(other, 1)) is not s for other in INTERNED if other is not cls)
+    assert copy.copy(s) is s
+    assert copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(s)) is s
+    field = cls.__slots__[0]
     with pytest.raises(AttributeError):
-        m.name = "top"
+        setattr(s, field, getattr(s, field))
+    with pytest.raises(AttributeError):
+        s.extra = None
+    # Identity comparison and hashing stay in C: no Python-level slot.
+    for name in ("__eq__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(cls, name) is getattr(object, name), name
+
+
+@pytest.mark.parametrize("algorithm", ["topdown", "bottomup", "glr", "glr-binarized"])
+def test_compiled_stack_symbols_are_interned(algorithm, expr_grammar, cnf_grammar):
+    for g in (expr_grammar, cnf_grammar):
+        if algorithm == "bottomup" and g is expr_grammar:
+            continue  # not in Chomsky normal form
+        p = ALGORITHMS[algorithm].prepare(g)
+        assert all(isinstance(s, (str, Interned)) for s in p.stack_symbols)
 
 
 def test_symbol_validation():
