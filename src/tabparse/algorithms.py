@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .cky import cky_parse, cky_recognized
+from .cky import cky_parse
 from .cky import dump_matrix as cky_matrix
 from .earley import dump_matrix as earley_matrix
-from .earley import earley_parse, earley_recognized
+from .earley import earley_parse
 from .engine import dump_chart, recognized, run_tabular
 from .forest import ParseForest, build_forest_cky, build_forest_items
 from .grammar import Grammar, augment_start
@@ -70,9 +70,9 @@ def _verdict_of(result: SimulationResult) -> Optional[bool]:
 # grammar as it is; the others add a fresh start rule where it needs one.
 ALGORITHMS: dict[str, Algorithm] = {
     "earley": Algorithm(
-        augment_start, earley_parse, earley_recognized, build_forest_items, earley_matrix
+        augment_start, earley_parse, recognized, build_forest_items, earley_matrix
     ),
-    "cky": Algorithm(lambda g: g, cky_parse, cky_recognized, build_forest_cky, cky_matrix),
+    "cky": Algorithm(lambda g: g, cky_parse, recognized, build_forest_cky, cky_matrix),
     "glr": _engine(lambda g: compile_lr(augment_start(g)), shows_lr=True),
     "glr-binarized": _engine(
         lambda g: binarize_reductions(compile_lr(augment_start(g))), shows_lr=True

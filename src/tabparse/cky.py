@@ -8,6 +8,8 @@ are tried in grammar order, so each entry's justifications come in a fixed
 order.  As in the engine and Earley, the chart stores plain tuples, each
 entered without a call: an entry (start, nonterminal, end) maps to its
 (rule, split) justifications, whose fields `CkyJustification._make` names.
+The chart is an `engine.Deduction` with no axiom and no agenda: its goal
+is (0, start, n), and `cky_recognized` is `engine.recognized`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple, Optional
 
+from .engine import Deduction, recognized
 from .grammar import Grammar, GrammarError, Rule, is_cnf
 
 
@@ -25,23 +28,26 @@ class CkyJustification(NamedTuple):
     split: Optional[int]  # None for lexical entries
 
 
-class CkyChart:
+class CkyChart(Deduction):
+    """Entries (start, nonterminal, end), each mapped to how it got there as
+    (rule, split) tuples, and the cells of the matrix; the goal is the start
+    symbol over all the input."""
+
+    justifications: dict[tuple[int, str, int], list[tuple]]
+
     def __init__(self, grammar: Grammar, tokens):
+        super().__init__(tokens, {})
+        self.goal = (0, grammar.start, len(self.tokens))
         self.grammar = grammar
-        self.tokens = tuple(tokens)
         self.cells: dict[tuple[int, int], set[str]] = defaultdict(set)
-        # (start, nonterminal, end) -> how it got there, as (rule, split)
-        self.justifications: dict[tuple[int, str, int], list[tuple]] = {}
-        self.fired = 0
 
 
 def cky_parse(g: Grammar, tokens) -> CkyChart:
     if not is_cnf(g):
         raise GrammarError("matrix recognition needs Chomsky normal form")
-    tokens = tuple(tokens)
-    n = len(tokens)
     c = CkyChart(g, tokens)
-    cells, justifications = c.cells, c.justifications
+    tokens, cells, justifications = c.tokens, c.cells, c.justifications
+    n = len(tokens)
     lexical = defaultdict(list)
     binary = []  # (rule, left child, right child), in grammar order
     for rule in g.rules:
@@ -69,13 +75,11 @@ def cky_parse(g: Grammar, tokens) -> CkyChart:
                         else:
                             justifications[new] = [(rule, j)]
                             cells[(k, i)].add(rule.lhs)
-    c.fired = sum(map(len, justifications.values()))
     return c
 
 
-def cky_recognized(c: CkyChart) -> bool:
-    n = len(c.tokens)
-    return n > 0 and c.grammar.start in c.cells.get((0, n), ())
+# No span of width 0 is an entry, so the goal of empty input never is.
+cky_recognized = recognized
 
 
 def dump_matrix(c: CkyChart) -> str:

@@ -1,13 +1,16 @@
 """Agenda-driven recognition over dotted-rule items.
 
 Items are (origin, dotted rule, end): the rule's consumed prefix derives
-tokens origin..end and the whole rule was predicted at `origin`.  Agenda
-and chart follow `engine.Deduction`, like the table engine's: a completion
-fires when the second of its two partners is popped, whichever it is.
-Prediction is positional: the rules predicted for B at i depend only on
-(B, i), so they fire once, when the first item waiting for B at i is
-popped, with the justification ("predict", (), None).  `fired` counts the
-recorded justifications, one per inference.  The rules predicted for a
+tokens origin..end and the whole rule was predicted at `origin`.  The
+chart and the loop follow `engine.Deduction`, like the table engine's: the
+chart holds the axiom (0, start rule with the dot first, 0) and its goal
+(0, complete start rule, n), `earley_recognized` is `engine.recognized`,
+and the loop owns its agenda.  A completion fires when the second of its
+two partners is popped, whichever it is.  Prediction is positional: the
+rules predicted for B at i depend only on (B, i), so they fire once, when
+the first item waiting for B at i is popped, with the justification
+("predict", (), None).  `fired`, read off the chart, counts the recorded
+justifications, one per inference.  The rules predicted for a
 nonterminal are listed once per grammar (`PredictedRules`), on the first
 parse that predicts it.
 
@@ -28,8 +31,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple, Optional
 
-from .engine import Deduction
-from .grammar import Grammar, GrammarError
+from .engine import Deduction, _agenda, recognized
+from .grammar import Grammar
 from .strategies import DottedRule
 
 
@@ -53,24 +56,20 @@ class EarleyJustification(NamedTuple):
 
 
 class EarleyChart(Deduction):
-    # Plain tuples, in the layouts of `EarleyItem` and `EarleyJustification`.
+    """Plain tuples, in the layouts of `EarleyItem` and
+    `EarleyJustification`; the goal is the complete start rule over all the
+    input."""
+
     justifications: dict[tuple, list[tuple]]
 
-    def __init__(self, grammar: Grammar, tokens, agenda_order: str = "lifo"):
-        starts = grammar.start_rules()
-        if len(starts) != 1:
-            raise GrammarError(
-                f"needs a single {grammar.start} rule; augment the grammar first"
-            )
-        axiom = (0, DottedRule(starts[0], 0), 0)
-        super().__init__(tokens, axiom, ("init", (), None), agenda_order)
+    def __init__(self, grammar: Grammar, tokens):
+        rule = grammar.start_rule
+        super().__init__(tokens, {(0, DottedRule(rule, 0), 0): [("init", (), None)]})
+        self.goal = (0, DottedRule(rule, len(rule.rhs)), len(self.tokens))
         self.grammar = grammar
 
     def final_item(self) -> EarleyItem:
-        (start_rule,) = self.grammar.start_rules()
-        return EarleyItem(
-            0, DottedRule(start_rule, len(start_rule.rhs)), len(self.tokens)
-        )
+        return EarleyItem._make(self.goal)
 
 
 class PredictedRules(dict):
@@ -90,11 +89,11 @@ class PredictedRules(dict):
 def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
     """Saturate the Earley chart of `g` on `tokens`; see `engine.Deduction`
     for the insertion idiom and `agenda_order`."""
-    c = EarleyChart(g, tokens, agenda_order)
-    tokens = c.tokens
-    n = len(tokens)
-    justifications, agenda, pop = c.justifications, c.agenda, c.pop
+    c = EarleyChart(g, tokens)
+    agenda, pop = _agenda(c, agenda_order)
     push = agenda.append
+    justifications, tokens = c.justifications, c.tokens
+    n = len(tokens)
     # Popped active items by (their nonterminal goal, their end position);
     # popped completed items by (their left-hand side, their origin).
     active_at, completed_at = defaultdict(list), defaultdict(list)
@@ -146,12 +145,10 @@ def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
             new = (origin, dotted.advance(), end + 1)
             justifications[new] = [("scan", (item,), goal)]
             push(new)
-    c.finish()
     return c
 
 
-def earley_recognized(c: EarleyChart) -> bool:
-    return c.final_item() in c.items
+earley_recognized = recognized
 
 
 def earley_ambiguous_final(c: EarleyChart) -> int:
@@ -160,7 +157,7 @@ def earley_ambiguous_final(c: EarleyChart) -> int:
     not prove it unambiguous, since trees may differ below the last step."""
     return sum(
         1
-        for tag, _, _ in c.justifications.get(c.final_item(), ())
+        for tag, _, _ in c.justifications.get(c.goal, ())
         if tag == "complete"
     )
 

@@ -8,19 +8,21 @@ items of all reachable stacks form a graph over (position, symbol) vertices
 that shares common stack suffixes, so the table stays polynomial while the
 set of stacks it represents may be exponential or infinite.
 
-Agenda and chart follow `Deduction`: an item is matched once, when it is
-popped, so each inference fires once.  That makes the engine insensitive to
-agenda order and spares it any special-casing for empty input or cyclic
-machines.
+The chart and the loop follow `Deduction`: the chart holds the axiom
+(bot, 0, initial, 0) and its goal, the arc (lower, 0, upper, n) of the
+accepting stack's top two symbols over all n tokens, and the loop owns its
+agenda.  An item is matched once, when it is popped, so each inference
+fires once.  That makes the engine insensitive to agenda order and spares
+it any special-casing for empty input or cyclic machines.
 
 Each derived item records how it was inferred (rule tag, antecedent items,
 transition).  These justifications are what parse forests are built from.
 The pushes F1, F4 and F6 are positional: their consequent depends only on
 the top vertex (up, i), not on the arc that reached it.  So they fire once
 per vertex, when the first arc ending there is popped, and their
-justifications carry no antecedents.  `fired` counts the recorded
-justifications, one per inference: repeats of a push for each further arc
-into its vertex are not made.
+justifications carry no antecedents.  `fired`, read off the chart,
+counts the recorded justifications, one per inference: repeats of a push
+for each further arc into its vertex are not made.
 
 Everything that fires on a popped arc is found through the symbol on its
 top: one trigger record per upper symbol holds that symbol's pushes, swaps
@@ -105,14 +107,20 @@ class Justification(NamedTuple):
 
 
 class Deduction:
-    """Chart and agenda of a deduction system (Shieber, Schabes & Pereira
-    1995, "Principles and implementation of deductive parsing").
+    """Chart of a deduction system (Shieber, Schabes & Pereira 1995,
+    "Principles and implementation of deductive parsing"): the tokens, the
+    justifications and the goal entry.
 
-    The chart is `justifications`, from each item to the ways it was
-    inferred; it starts with the axiom, which starts the agenda too.  A
-    saturation loop runs inline, `while agenda: item = pop()`, where `pop`
-    is the agenda's `pop` under "lifo" and its `popleft` under "fifo", and
-    fires an inference without a call, in one idiom:
+    `justifications` maps each entry to the ways it was inferred; the
+    engine's and Earley's start with the axiom.  Each chart class sets
+    `goal`, a plain tuple, once when it is made, and the input is
+    recognized when the goal is an entry (`recognized`).  Everything else
+    is read off these: `items` is the view of the entries and `fired` the
+    number of justifications.
+
+    A saturation loop owns its agenda, made by `_agenda` and holding the
+    axiom, and runs inline, `while agenda: item = pop()`.  It fires an
+    inference without a call, in one idiom:
 
         if new in justifications:
             justifications[new].append(just)
@@ -123,47 +131,55 @@ class Deduction:
     A loop files a popped item in search indexes of its own, not the
     chart's, *before* matching it, and matches it only against items
     already popped.  So an inference fires exactly once, when the last of
-    its antecedents is popped.  An index exists to serve a lookup, so a
-    loop files only the items some inference will look up; the `engine`
-    and `earley` module docstrings say which.  When the agenda has run dry
-    the loop calls `finish`, the one place that sets `fired`.  The result
-    is independent of `agenda_order` ("lifo" or "fifo"); the knob exists to
-    let tests check exactly that.
+    its antecedents is popped, and `fired` counts inferences.  An index
+    exists to serve a lookup, so a loop files only the items some inference
+    will look up; the `engine` and `earley` module docstrings say which.
+    The result is independent of the saturator's `agenda_order` ("lifo" or
+    "fifo"); the knob exists to let tests check exactly that.  CKY fills
+    the same kind of chart in a fixed order, with no agenda.
     """
 
-    def __init__(self, tokens, axiom, just, agenda_order: str = "lifo"):
-        if agenda_order not in ("lifo", "fifo"):
-            raise ValueError(f"unknown agenda order {agenda_order!r}")
-        self.tokens = tuple(tokens)
-        self.justifications: dict[Any, list] = {axiom: [just]}
-        self.items = self.justifications.keys()
-        self.fired = 1
-        self.agenda: deque = deque([axiom])
-        self.pop = self.agenda.pop if agenda_order == "lifo" else self.agenda.popleft
+    goal: tuple
 
-    def finish(self) -> None:
-        """Set `fired`, the number of distinct justifications: one per
-        inference, since each fires once."""
-        self.fired = sum(map(len, self.justifications.values()))
+    def __init__(self, tokens, justifications: dict):
+        self.tokens = tuple(tokens)
+        self.justifications: dict[Any, list] = justifications
+        self.items = justifications.keys()
+
+    @property
+    def fired(self) -> int:
+        """The number of distinct justifications: one per inference."""
+        return sum(map(len, self.justifications.values()))
+
+
+def recognized(c: Deduction) -> bool:
+    return c.goal in c.justifications
+
+
+def _agenda(c: Deduction, agenda_order: str) -> tuple[deque, Any]:
+    """A saturation loop's agenda, holding the chart's one entry, the
+    axiom, and its pop: the deque's `pop` under "lifo", `popleft` under
+    "fifo"."""
+    if agenda_order not in ("lifo", "fifo"):
+        raise ValueError(f"unknown agenda order {agenda_order!r}")
+    agenda = deque(c.justifications)
+    return agenda, agenda.pop if agenda_order == "lifo" else agenda.popleft
 
 
 class Chart(Deduction):
-    """Plain tuples throughout, in the layouts of `Item` and `Justification`."""
+    """Plain tuples throughout, in the layouts of `Item` and `Justification`;
+    the goal is the arc of the accepting stack's top over all the input."""
 
     justifications: dict[tuple, list[tuple]]
 
-    def __init__(self, pda: Pda, tokens, agenda_order: str = "lifo"):
-        axiom = (BOTTOM, 0, pda.initial, 0)
-        super().__init__(tokens, axiom, ("axiom", (), None), agenda_order)
+    def __init__(self, pda: Pda, tokens):
+        super().__init__(tokens, {(BOTTOM, 0, pda.initial, 0): [("axiom", (), None)]})
+        lower, upper = (BOTTOM, *pda.accept_stack())[-2:]
+        self.goal = (lower, 0, upper, len(self.tokens))
         self.pda = pda
 
     def accept_item(self) -> Item:
-        lower, upper = (BOTTOM, *self.pda.accept_stack())[-2:]
-        return Item(lower, 0, upper, len(self.tokens))
-
-
-def recognized(c: Chart) -> bool:
-    return c.accept_item() in c.items
+        return Item._make(self.goal)
 
 
 def classify_transition(t: Transition) -> str:
@@ -324,13 +340,13 @@ def _trigger_tables(p: Pda) -> tuple:
 def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     """Saturate the table of items for `p` on `tokens`; see `Deduction` for
     the insertion idiom and `agenda_order`."""
-    c = Chart(p, tokens, agenda_order)
-    tokens = c.tokens
+    c = Chart(p, tokens)
+    agenda, pop = _agenda(c, agenda_order)
+    push = agenda.append
+    justifications, tokens = c.justifications, c.tokens
     n = len(tokens)
     records, default, pops, _ = _trigger_tables(p)
 
-    justifications, agenda, pop = c.justifications, c.agenda, c.pop
-    push = agenda.append
     # Popped arcs by upper vertex (only those whose top symbol has pushes),
     # by lower vertex (for `_chains` only), and those some F3 transition
     # pops as its pair, by lower vertex, then upper symbol.
@@ -430,8 +446,6 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
                         else:
                             justifications[new] = [just]
                             push(new)
-
-    c.finish()
     return c
 
 

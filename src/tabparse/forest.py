@@ -125,8 +125,7 @@ def build_forest_cky(c: CkyChart) -> ParseForest:
         return steps
 
     heads = lambda: itertools.chain(tokens, map(SpanNode._make, justs))
-    start = SpanNode(0, c.grammar.start, len(c.tokens))
-    return _chart_forest(heads, rules_of, start, "cky", c.grammar)
+    return _chart_forest(heads, rules_of, SpanNode._make(c.goal), "cky", c.grammar)
 
 
 def build_forest_items(c) -> ParseForest:
@@ -141,7 +140,7 @@ def build_forest_items(c) -> ParseForest:
         raise ForestError(f"cannot build a forest from {type(c).__name__}")
     justs = c.justifications
     if isinstance(c, EarleyChart):
-        start, origin, grammar = c.final_item(), "earley", c.grammar
+        origin, grammar = "earley", c.grammar
         initial = next(iter(justs))  # the axiom, the chart's first entry
 
         def rules_of(item) -> list:
@@ -150,11 +149,11 @@ def build_forest_items(c) -> ParseForest:
                 (item, ante if token is None else ante + (token,), rule, ante)
                 for _, ante, token in justs.get(item, ())
             ]
-            # The start node is a fresh tuple, so it is compared by value.
+            # The goal is a tuple of its own, so it is compared by value.
             return list(dict.fromkeys(steps)) if item == initial else steps
 
     else:
-        start, origin, grammar = c.accept_item(), c.pda.kind, c.pda.grammar
+        origin, grammar = c.pda.kind, c.pda.grammar
         completes, repeats = c.pda.completes, _trigger_tables(c.pda)[3]
 
         def rules_of(item) -> list:
@@ -167,7 +166,7 @@ def build_forest_items(c) -> ParseForest:
                 steps.append((item, body, completes.get(via), ante))
             return list(dict.fromkeys(steps)) if repeats and len(steps) > 1 else steps
 
-    return _chart_forest(justs.keys, rules_of, tuple(start), origin, grammar)
+    return _chart_forest(justs.keys, rules_of, c.goal, origin, grammar)
 
 
 def reduce_forest(f: ParseForest) -> ParseForest:

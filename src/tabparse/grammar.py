@@ -91,6 +91,15 @@ class Grammar:
     def start_rules(self) -> tuple[Rule, ...]:
         return self.rules_for(self.start)
 
+    @property
+    def start_rule(self) -> Rule:
+        """The one rule of the start symbol, which Earley and the
+        goal-driven compiler start from."""
+        starts = self.start_rules()
+        if len(starts) != 1:
+            raise GrammarError(f"needs a single {self.start} rule; augment the grammar first")
+        return starts[0]
+
 
 def parse_grammar(text: str) -> Grammar:
     """Parse grammar file text.  Duplicate rules are dropped with a

@@ -51,13 +51,7 @@ def compile_topdown(g: Grammar) -> Pda:
     completed rule is popped together with its parent, advancing the parent
     over the goal it predicted.
     """
-    starts = g.start_rules()
-    if len(starts) != 1:
-        raise GrammarError(
-            f"goal-driven compilation needs a single {g.start} rule; "
-            "augment the grammar first"
-        )
-    start_rule = starts[0]
+    start_rule = g.start_rule
     symbols = tuple(dotted_rules(g))
     pushes, reads, pops = [], [], []
     for d in symbols:

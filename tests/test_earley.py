@@ -83,10 +83,13 @@ def test_agenda_order_irrelevant(expr_grammar):
         earley_parse(expr_grammar, [], agenda_order="dfs")
 
 
-def test_needs_single_start_rule():
+@pytest.mark.parametrize(
+    "start", [lambda g: earley_parse(g, ["a"]), compile_topdown], ids=["earley", "topdown"]
+)
+def test_needs_single_start_rule(start):
     g = parse_grammar("S -> a\nS -> b")
-    with pytest.raises(GrammarError, match="augment"):
-        earley_parse(g, ["a"])
+    with pytest.raises(GrammarError, match="^needs a single S rule; augment the grammar first$"):
+        start(g)
     assert earley_recognized(earley_parse(augment_start(g), ["a"]))
 
 

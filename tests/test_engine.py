@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from pathlib import Path
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import RANDOM_GRAMMARS
 from tabparse.algorithms import ALGORITHMS
-from tabparse.cky import CkyJustification, cky_parse
-from tabparse.earley import EarleyItem, earley_parse
+from tabparse.cky import CkyJustification, cky_parse, cky_recognized
+from tabparse.earley import EarleyItem, earley_parse, earley_recognized
 from tabparse.engine import (
     BOTTOM,
+    Deduction,
     Item,
     UnsupportedTransition,
     _trigger_tables,
@@ -721,13 +723,12 @@ def _transitions(draw):
     return Transition(*(tuple(name[c] for c in part) for part in (pop, read, push)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_transitions(), min_size=2, max_size=9, unique=True))
-def test_any_machine_agrees_with_simulation(transitions):
-    # Random machines of every shape the engine runs, over stack symbols
-    # s (initial) x y z f (final), on every input of up to three tokens.
-    p = Pda(frozenset("ab"), frozenset("sxyzf"), "s", "f", tuple(transitions))
+def assert_agrees_with_simulation(p: Pda) -> set:
+    """Run `p` on every input of up to three tokens and check the chart
+    against `simulate`: its verdict, and a finite tree count against the
+    number of runs.  Returns the inputs the chart recognizes."""
     q = len(p.stack_symbols)
+    accepted = set()
     for n in range(4):
         for tokens in itertools.product("ab", repeat=n):
             c = assert_fires_once(lambda order: run_tabular(p, tokens, agenda_order=order))
@@ -736,6 +737,8 @@ def test_any_machine_agrees_with_simulation(transitions):
             result = simulate(p, tokens, max_steps=1_000, max_stack_depth=24)
             if result.verdict != "bound-exceeded":
                 assert recognized(c) == (result.verdict == "yes")
+            if recognized(c):
+                accepted.add(tokens)
             # Runs never repeat a configuration, so cyclic forests compare
             # verdicts only, and so do machines `repeats` flags: two of
             # their inferences can make one forest step.
@@ -743,6 +746,75 @@ def test_any_machine_agrees_with_simulation(transitions):
                 counted = count_trees(build_forest_items(c))
                 if not counted.infinite:
                     assert counted.value == len(result.runs)
+    return accepted
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_transitions(), min_size=2, max_size=9, unique=True))
+def test_any_machine_agrees_with_simulation(transitions):
+    # Random machines of every shape the engine runs, over stack symbols
+    # s (initial) x y z f (final), on every input of up to three tokens.
+    p = Pda(frozenset("ab"), frozenset("sxyzf"), "s", "f", tuple(transitions))
+    assert_agrees_with_simulation(p)
+
+
+READS = [shape for shape in SHAPES if shape[1]]
+SHORTENS = [shape for shape in SHAPES if len(shape[0]) > len(shape[2])]
+# Drawn runs push from more symbols than the noise transitions use, so
+# that fewer of their steps close a cycle by accident.
+RUN_SYMBOLS = "stuvwxyzfghk"
+
+
+@st.composite
+def _drawn_run(draw, tokens):
+    """The transitions of one accepting run on `tokens`, each in one of the
+    ten shapes and drawn to apply where the run stands: a few free steps,
+    then reads to the end of the input, pops down to one symbol, and a swap
+    to the final symbol f unless it is there already."""
+    stack, i, steps = ("s",), 0, []
+
+    def step(shapes, pushed=None):
+        nonlocal stack, i
+        fits = [sh for sh in shapes if len(sh[0]) <= len(stack) and (i < len(tokens) or not sh[1])]
+        pop, read, push = draw(st.sampled_from(fits))
+        name = dict(zip(pop, stack[len(stack) - len(pop) :]))
+        name["u"] = pushed or draw(st.sampled_from(RUN_SYMBOLS))
+        name["a"] = tokens[i] if read else None
+        t = Transition(*(tuple(name[c] for c in part) for part in (pop, read, push)))
+        stack = stack[: len(stack) - len(t.pop)] + t.push
+        i += len(t.read)
+        steps.append(t)
+
+    for _ in range(draw(st.integers(0, 4))):
+        step(SHAPES)
+    while i < len(tokens):
+        step(READS)
+    while len(stack) > 1:
+        step(SHORTENS)
+    if stack != ("f",):
+        step([("p", "", "u")], pushed="f")
+    return steps
+
+
+@st.composite
+def _accepting_machine(draw):
+    """An input and a machine built around two or three drawn runs on it,
+    plus noise transitions of any shape."""
+    tokens = tuple(draw(st.lists(st.sampled_from("ab"), max_size=3)))
+    runs = draw(st.lists(_drawn_run(tokens), min_size=2, max_size=3))
+    noise = draw(st.lists(_transitions(), max_size=4))
+    transitions = dict.fromkeys([t for run in runs for t in run] + noise)
+    return Pda(frozenset("ab"), frozenset(RUN_SYMBOLS), "s", "f", tuple(transitions)), tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(_accepting_machine())
+def test_machines_drawn_to_accept_count_their_runs(drawn):
+    # Counts on machines no compiler makes: each machine accepts its input
+    # along the two or three runs it was drawn around, and often other
+    # inputs too, so most examples compare tree counts, many above 1.
+    p, tokens = drawn
+    assert tokens in assert_agrees_with_simulation(p)
 
 
 def assert_plain_entries(c, view):
@@ -952,19 +1024,29 @@ def test_earley_charts_golden():
 
 
 def test_charts_keep_only_their_entries(expr_grammar, cnf_grammar):
-    # Each saturation loop owns its search indexes; a chart keeps only what
-    # recognition, forests and dumps read, all of it plain tuples, and
-    # `fired` is the number of justifications it recorded.
+    # Each saturation loop owns its agenda and search indexes; a chart keeps
+    # only its tokens, its entries and its goal, all of them plain tuples,
+    # and what the dumps read.  Recognition and `fired` are read off these,
+    # each by one definition that all three chart classes share.
     aug, tokens = augment_start(expr_grammar), "a + a * a".split()
+    core = {"tokens", "justifications", "items", "goal"}
     charts = [
-        run_tabular(compile_topdown(aug), tokens),
-        run_tabular(compile_lr(aug), tokens),
-        earley_parse(aug, tokens),
-        cky_parse(cnf_grammar, "aabb"),
+        (run_tabular(compile_topdown(aug), tokens), {"pda"}, True),
+        (run_tabular(compile_lr(aug), tokens[:2]), {"pda"}, False),
+        (earley_parse(aug, tokens), {"grammar"}, True),
+        (earley_parse(aug, tokens[:2]), {"grammar"}, False),
+        (cky_parse(cnf_grammar, "aabb"), {"grammar", "cells"}, True),
+        (cky_parse(cnf_grammar, ""), {"grammar", "cells"}, False),
     ]
-    indexes = {"by_upper_at", "by_lower_at", "pairs_at", "active_at", "completed_at"}
-    for c in charts:
-        assert not indexes & set(vars(c))
+    for c, extra, accepted in charts:
+        assert set(vars(c)) == core | extra
+        assert not any(hasattr(c, name) for name in ("agenda", "pop", "finish"))
+        assert "agenda_order" not in inspect.signature(type(c)).parameters
+        assert type(c.goal) is tuple and c.goal[-1] == len(c.tokens)
+        assert recognized(c) == (c.goal in c.items) == accepted
         assert all(type(e) is tuple for e in c.justifications)
         assert all(type(j) is tuple for js in c.justifications.values() for j in js)
         assert c.fired == sum(map(len, c.justifications.values()))
+        assert type(c).fired is Deduction.fired
+    assert earley_recognized is cky_recognized is recognized
+    assert {a.recognized for name, a in ALGORITHMS.items() if name != "naive"} == {recognized}
