@@ -39,23 +39,27 @@ of arcs that spells them out.  So do the lazy reductions of a shift-reduce
 machine, one arc per right-hand-side symbol, and its acceptance.  The
 three share one table, keyed by the popped arc, and one loop: each popped
 item looks up the path cells it can fill and walks the rest of each path
-from there (`_chains`).  Reductions supply their own entries.
+from there.  Reductions supply their own entries.  Most paths are short:
+the popped arc alone, or it and one arc below or above it, as for the
+reductions of one- and two-symbol rules and two-push F7s over three cells.
+The loop walks these three shapes inline, in the order `_chains` would,
+and calls `_chains` only for longer paths.
 
 An index exists to serve a lookup, so the loop files a popped arc only
 where some inference will look it up.  An arc goes into `by_upper_at`, the
 index by upper vertex, only when the record of its top symbol has pushes:
 its own F1 or F4 ones, or the F6 pushes every record holds.  This index
 serves three lookups: the pushes' first-arc test, the F3 pair's lookup of
-the arcs beneath it, and the backward steps of `_chains`.  The last two
-look only at the lower vertex of an existing arc.  Every such vertex but
-the axiom's, on which no arc ends, exists because a push fired onto it;
-so its symbol has pushes, and every arc ending there is filed.  A topdown
-machine thus never files its complete or terminal-goal dotted rules, an
-LR machine its states without shifts, and a binarized one its aux cells.
-An arc goes into `by_lower_at`, the index by lower vertex, only when the
-machine has multi-pop entries, for the forward steps of `_chains`.  It
-goes into `pairs_at`, under its lower vertex and upper symbol, only when
-some F3 transition pops it as its pair.
+the arcs beneath it, and the backward steps of multi-pop paths.  The last
+two look only at the lower vertex of an existing arc.  Every such vertex
+but the axiom's, on which no arc ends, exists because a push fired onto
+it; so its symbol has pushes, and every arc ending there is filed.  A
+topdown machine thus never files its complete or terminal-goal dotted
+rules, an LR machine its states without shifts, and a binarized one its
+aux cells.  An arc goes into `by_lower_at`, the index by lower vertex,
+only when the machine has multi-pop entries, for the forward steps of
+multi-pop paths.  It goes into `pairs_at`, under its lower vertex and
+upper symbol, only when some F3 transition pops it as its pair.
 
 Chart format: the saturation loop stores plain tuples and reads them by
 position, so no constructor runs per inference.  An item is the tuple
@@ -224,7 +228,9 @@ def _chains(item: tuple, uppers, lowers, by_lower_at, by_upper_at) -> list[tuple
     each of `lowers` in turn.  A None entry accepts any symbol.  A path that
     holds `item` again further back is left to the walk from that position,
     so each path is found once.  The multi-pop entries of `_trigger_tables`
-    spell out the two walks for each cell their popped arc can fill."""
+    spell out the two walks for each cell their popped arc can fill.
+    `run_tabular` walks paths of one arc, and of two with `item` at one end,
+    inline in the same order, and calls this only for longer ones."""
     chains = [(item,)]
     for want in uppers:
         chains = [
@@ -348,8 +354,8 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     records, default, pops, _ = _trigger_tables(p)
 
     # Popped arcs by upper vertex (only those whose top symbol has pushes),
-    # by lower vertex (for `_chains` only), and those some F3 transition
-    # pops as its pair, by lower vertex, then upper symbol.
+    # by lower vertex (for multi-pop paths only), and those some F3
+    # transition pops as its pair, by lower vertex, then upper symbol.
     by_upper_at, by_lower_at, pairs_at = {}, {}, {}
 
     while agenda:
@@ -431,10 +437,50 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
         # Multi-pop: F7, reductions and acceptance, on each path through
         # `item` in each cell it can fill.  A machine with none of them
         # skips building the (low, up) key.  A path on above `item` needs an
-        # arc from its top vertex.
+        # arc from its top vertex.  The paths of one arc, and of two with
+        # `item` at one end, are walked here as `_chains` would walk them;
+        # longer ones go through `_chains`.
         if pops:
             for uppers, lowers, tag, via, tops in pops.get((low, up), ()):
-                if uppers and top not in by_lower_at:
+                if not uppers:
+                    if not lowers:
+                        pushed = tops.get(low)
+                        if pushed is not None:
+                            new, just = (low, j, pushed, i), (tag, (item,), via)
+                            if new in justifications:
+                                justifications[new].append(just)
+                            else:
+                                justifications[new] = [just]
+                                push(new)
+                        continue
+                    if len(lowers) == 1:
+                        want = lowers[0]
+                        for prev in by_upper_at.get((low, j), ()):
+                            if (want is None or prev[0] == want) and prev is not item:
+                                pushed = tops.get(prev[0])
+                                if pushed is not None:
+                                    new = (prev[0], prev[1], pushed, i)
+                                    just = (tag, (prev, item), via)
+                                    if new in justifications:
+                                        justifications[new].append(just)
+                                    else:
+                                        justifications[new] = [just]
+                                        push(new)
+                        continue
+                elif top not in by_lower_at:
+                    continue
+                elif not lowers and len(uppers) == 1:
+                    pushed = tops.get(low)
+                    if pushed is not None:
+                        want = uppers[0]
+                        for nxt in by_lower_at[top]:
+                            if want is None or nxt[2] == want:
+                                new, just = (low, j, pushed, nxt[3]), (tag, (item, nxt), via)
+                                if new in justifications:
+                                    justifications[new].append(just)
+                                else:
+                                    justifications[new] = [just]
+                                    push(new)
                     continue
                 for chain in _chains(item, uppers, lowers, by_lower_at, by_upper_at):
                     first = chain[0]

@@ -157,10 +157,10 @@ def pda_size(p: Pda) -> int:
 def applicable(t: Transition, c: Configuration, tokens) -> Optional[Configuration]:
     """The successor configuration, or None when the transition doesn't apply."""
     k = len(t.pop)
-    if k and tuple(c.stack[-k:]) != tuple(t.pop):
+    if k and c.stack[-k:] != t.pop:
         return None
     m = len(t.read)
-    if tuple(tokens[c.position : c.position + m]) != tuple(t.read):
+    if m and tuple(tokens[c.position : c.position + m]) != t.read:
         return None
     return Configuration(c.stack[: len(c.stack) - k] + tuple(t.push), c.position + m)
 

@@ -87,10 +87,13 @@ def test_agenda_order_irrelevant(expr_grammar):
     "start", [lambda g: earley_parse(g, ["a"]), compile_topdown], ids=["earley", "topdown"]
 )
 def test_needs_single_start_rule(start):
-    g = parse_grammar("S -> a\nS -> b")
-    with pytest.raises(GrammarError, match="^needs a single S rule; augment the grammar first$"):
-        start(g)
-    assert earley_recognized(earley_parse(augment_start(g), ["a"]))
+    message = "^needs a single S rule; augment the grammar first$"
+    for text in ("S -> a\nS -> b", "S -> S\nS -> a"):
+        g = parse_grammar(text)
+        with pytest.raises(GrammarError, match=message):
+            start(g)
+        start(augment_start(g))
+        assert earley_recognized(earley_parse(augment_start(g), ["a"]))
 
 
 def test_epsilon_and_cycles():

@@ -413,6 +413,31 @@ def _fired(algorithm, g, tokens):
     return a.saturate(a.prepare(g), tokens).fired
 
 
+# Exact work on a^n, (items, fired) per algorithm.  Each inference fires
+# once and every item here has one justification, so the two are equal.  A
+# change that moves a count fails; one that lowers it updates this table.
+LIST_WORK = {
+    ("L -> L a\nL -> a", 12): {"earley": 39, "topdown": 65, "glr": 37, "glr-binarized": 48},
+    ("L -> L a\nL -> a", 50): {"earley": 153, "topdown": 255, "glr": 151, "glr-binarized": 200},
+    ("L -> a L\nL -> a", 12): {"earley": 129, "topdown": 129, "glr": 103, "glr-binarized": 169},
+    ("L -> a L\nL -> a", 50): {
+        "earley": 1478,
+        "topdown": 1478,
+        "glr": 1376,
+        "glr-binarized": 2601,
+    },
+}
+
+
+@pytest.mark.parametrize("text, n", LIST_WORK)
+def test_list_work_counts(text, n):
+    g = parse_grammar(text)
+    for algorithm, count in LIST_WORK[text, n].items():
+        a = ALGORITHMS[algorithm]
+        c = a.saturate(a.prepare(g), ["a"] * n)
+        assert (len(c.items), c.fired) == (count, count), algorithm
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("algorithm", ["earley", "topdown", "glr-binarized", "glr"])
 def test_work_grows_polynomially_on_ambiguous_products(algorithm, m):
@@ -512,6 +537,17 @@ EDGE_MACHINES = {
     ),
     # (s, 0, s, 0) fills every cell of one multi-pop chain.
     "f7-repeated-cell": ([T(("s",), (), ("s", "s")), T(("s", "s", "s"), (), ("f",))], "", 4),
+    # A two-push F7 whose two cells are both (s, 0, s, 0): the path is found
+    # forward from that arc, and the backward walk must not pair it with itself.
+    "f7-two-push-self-loop": (
+        [
+            T(("s",), (), ("s", "s")),
+            T(("s", "s", "s"), (), ("s", "f")),
+            T(("s", "f"), (), ("f",)),
+        ],
+        "",
+        5,
+    ),
     "duplicate-transition": ([T(("s",), ("a",), ("f",))] * 2, "a", 2),
 }
 
@@ -523,6 +559,7 @@ def test_edge_machines_fire_once(name):
     p = Pda(frozenset("ab"), frozenset(symbols), "s", "f", tuple(transitions))
     c = assert_fires_once(lambda order: run_tabular(p, list(text), agenda_order=order))
     assert c.fired == fired
+    assert recognized(c) == (simulate(p, list(text), max_runs=1).verdict == "yes")
     replay_justifications(c)
 
 

@@ -75,13 +75,6 @@ def test_topdown_machine_shape(expr_grammar):
     assert all(len(t.read) == 1 for t in reads)
 
 
-def test_topdown_needs_single_start_rule():
-    g = parse_grammar("S -> S\nS -> a")
-    with pytest.raises(GrammarError, match="augment"):
-        compile_topdown(g)
-    compile_topdown(augment_start(g))
-
-
 @pytest.mark.parametrize(
     "text, verdict",
     [
