@@ -11,8 +11,8 @@ rules predicted for B at i depend only on (B, i), so they fire once, when
 the first item waiting for B at i is popped, with the justification
 ("predict", (), None).  `fired`, read off the chart, counts the recorded
 justifications, one per inference.  The rules predicted for a
-nonterminal are listed once per grammar (`PredictedRules`), on the first
-parse that predicts it.
+nonterminal are the grammar's (`Grammar.predicted`), listed once per
+grammar on the first parse, and dotted rules are `grammar.DottedRule`.
 
 The loop files a popped item only where a completion looks it up: a
 completed item by (its left-hand side, its origin), an item waiting for a
@@ -32,8 +32,7 @@ from collections import defaultdict
 from typing import NamedTuple, Optional
 
 from .engine import Deduction, _agenda, recognized
-from .grammar import Grammar
-from .strategies import DottedRule
+from .grammar import DottedRule, Grammar
 
 
 class EarleyItem(NamedTuple):
@@ -72,20 +71,6 @@ class EarleyChart(Deduction):
         return EarleyItem._make(self.goal)
 
 
-class PredictedRules(dict):
-    """Nonterminal -> its rules with the dot first, in rule order: what
-    Earley predicts for it.  One per grammar, kept on it and filled on
-    first use, so repeated parses with one grammar build each list once and
-    grammar setup builds none."""
-
-    def __init__(self, g: Grammar):
-        self.rules_for = g.rules_for
-
-    def __missing__(self, goal: str) -> tuple[DottedRule, ...]:
-        rules = self[goal] = tuple(DottedRule(r, 0) for r in self.rules_for(goal))
-        return rules
-
-
 def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
     """Saturate the Earley chart of `g` on `tokens`; see `engine.Deduction`
     for the insertion idiom and `agenda_order`."""
@@ -98,11 +83,7 @@ def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
     # popped completed items by (their left-hand side, their origin).
     active_at, completed_at = defaultdict(list), defaultdict(list)
 
-    nonterminals = g.nonterminals
-    predicted = g._predicted_rules
-    if predicted is None:
-        predicted = PredictedRules(g)
-        object.__setattr__(g, "_predicted_rules", predicted)
+    nonterminals, predicted = g.nonterminals, g.predicted
     while agenda:
         item = pop()
         origin, dotted, end = item

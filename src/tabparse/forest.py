@@ -17,9 +17,9 @@ A step is a plain tuple (head, body, rule, kids): `kids` are the body's
 chart nodes in order, the justification's own antecedent tuple where it
 has one, so the walk, counting and search read children without testing
 body entries for tokens.  A head's steps are one per justification, and
-repeats are dropped only where two justifications can make one step:
-Earley's initial item, predicted again where the start symbol occurs in
-a rule body, and machines whose `engine._trigger_tables` flag repeats.
+repeats are dropped, by one test, only where two justifications can make
+one step: Earley's initial item, predicted again where the start symbol
+occurs in a rule body, and machines whose `engine._trigger_tables` flag.
 Counting and extraction never enumerate shared substructure twice, so
 they stay cheap even when the number of trees is astronomical or
 infinite.  Both read one graph, the by-head index, children-first order
@@ -141,7 +141,8 @@ def build_forest_items(c) -> ParseForest:
     justs = c.justifications
     if isinstance(c, EarleyChart):
         origin, grammar = "earley", c.grammar
-        initial = next(iter(justs))  # the axiom, the chart's first entry
+        # Only the axiom repeats, and only when its start symbol is predicted.
+        repeats = any(grammar.start in r.rhs for r in grammar.rules)
 
         def rules_of(item) -> list:
             rule = item[1].rule if item[1].is_complete else None
@@ -149,8 +150,7 @@ def build_forest_items(c) -> ParseForest:
                 (item, ante if token is None else ante + (token,), rule, ante)
                 for _, ante, token in justs.get(item, ())
             ]
-            # The goal is a tuple of its own, so it is compared by value.
-            return list(dict.fromkeys(steps)) if item == initial else steps
+            return list(dict.fromkeys(steps)) if repeats and len(steps) > 1 else steps
 
     else:
         origin, grammar = c.pda.kind, c.pda.grammar
@@ -159,9 +159,6 @@ def build_forest_items(c) -> ParseForest:
         def rules_of(item) -> list:
             steps = []
             for tag, ante, via in justs.get(item, ()):
-                if tag == "accept":
-                    # Always the axiom arc (bot, 0, q0, 0): it derives nothing.
-                    ante = ante[1:]
                 body = ante + via.read if tag in ("F1", "F2", "F6") else ante
                 steps.append((item, body, completes.get(via), ante))
             return list(dict.fromkeys(steps)) if repeats and len(steps) > 1 else steps

@@ -10,6 +10,10 @@ A grammar file holds one rule per line, tokens separated by whitespace:
 ``#`` starts a comment; blank lines are ignored.  A symbol is a nonterminal
 exactly when it occurs on some left-hand side; everything else is a terminal.
 The start symbol is the left-hand side of the first rule.
+
+Dotted rules (`DottedRule`) and what each nonterminal predicts, its rules
+with the dot first (`Grammar.predicted`), live here: Earley's predictor,
+the goal-driven compiler's pushes and the LR closure all read them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
+
+from .pda import Interned
 
 ARROW = "->"
 
@@ -38,6 +44,37 @@ class Rule(NamedTuple):
         return f"{self.lhs} {ARROW} {' '.join(self.rhs)}".rstrip()
 
 
+class DottedRule(Interned):
+    """A rule with a progress marker: A -> alpha . beta, one per (rule,
+    dot).  `goal` is the symbol right of the dot, None when complete; each
+    stores its goal, completeness, text and successor once."""
+
+    __slots__ = ("rule", "dot", "goal", "is_complete", "_text", "_next")
+
+    @staticmethod
+    def _derive(rule: Rule, dot: int) -> tuple:
+        rhs = rule.rhs
+        text = " ".join([rule.lhs, ARROW, *rhs[:dot], ".", *rhs[dot:]])
+        if dot >= len(rhs):
+            return None, dot == len(rhs), text, None
+        # The missing successors are made from the far end, so constructions
+        # do not nest however long the rule.
+        last = dot + 1
+        while last < len(rhs) and (rule, last) not in DottedRule._table:
+            last += 1
+        for later in range(last, dot, -1):
+            successor = DottedRule(rule, later)
+        return rhs[dot], False, text, successor
+
+    def __str__(self) -> str:
+        return self._text
+
+    def advance(self) -> "DottedRule":
+        if self._next is None:
+            raise ValueError(f"cannot advance past the end of {self}")
+        return self._next
+
+
 @dataclass(frozen=True)
 class Grammar:
     """An immutable CFG.  Rule order is significant and preserved."""
@@ -48,9 +85,6 @@ class Grammar:
     # None.  Not part of equality: two grammars with the same rules and start
     # describe the same language.
     augmented_from: str | None = field(default=None, compare=False)
-    # Earley's prediction lists (`earley.PredictedRules`), made by the first
-    # parse that needs them.
-    _predicted_rules: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.rules:
@@ -84,6 +118,12 @@ class Grammar:
         for r in self.rules:
             by_lhs.setdefault(r.lhs, []).append(r)
         return {lhs: tuple(rules) for lhs, rules in by_lhs.items()}
+
+    @cached_property
+    def predicted(self) -> dict[str, tuple[DottedRule, ...]]:
+        """Nonterminal -> its rules with the dot first, in rule order: what
+        a goal predicts.  Made on first use, not when the grammar is set up."""
+        return {nt: tuple(DottedRule(r, 0) for r in rules) for nt, rules in self._by_lhs.items()}
 
     def rules_for(self, lhs: str) -> tuple[Rule, ...]:
         return self._by_lhs.get(lhs, ())

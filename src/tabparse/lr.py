@@ -1,25 +1,25 @@
 """Shift-reduce automata and their stack machines.
 
-States are sets of dotted rules, and the automaton is one goto map from
-(state, symbol) to state, built one state at a time; the shifts and the
-reductions read that map.  The compiled machine keeps one state per stack
-cell; shifting reads a token and pushes the successor state, and a
-reduction pops one cell per right-hand-side symbol before pushing the goto
-of the uncovered state.  Reductions pop unboundedly many cells, so they are
-kept as lazy `Reduction`s (state, rule), which expand themselves on demand:
-against a concrete stack for the simulator, and into entries keyed by the
-goto arcs they pop for the table engine's multi-pop table.  Neither layer
-reads the automaton.  `binarize_reductions` rewrites them into bounded
-transitions for engines that want none of that laziness."""
+States are sets of the grammar's dotted rules (`grammar.DottedRule`) closed
+over `Grammar.predicted` through left corners, and the automaton is one
+goto map from (state, symbol) to state, built one state at a time; the
+shifts and the reductions read that map.  The compiled machine keeps one
+state per stack cell; shifting reads a token and pushes the successor
+state, and a reduction pops one cell per right-hand-side symbol before
+pushing the goto of the uncovered state.  Reductions pop unboundedly many
+cells, so they are kept as lazy `Reduction`s (state, rule), which expand
+themselves on demand: against a concrete stack for the simulator, and into
+entries keyed by the goto arcs they pop for the table engine's multi-pop
+table.  Neither layer reads the automaton.  `binarize_reductions` rewrites
+them into bounded transitions for engines that want none of that laziness."""
 
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import NamedTuple, Optional
 
-from .grammar import Grammar, GrammarError, Rule, has_epsilon_rules
+from .grammar import DottedRule, Grammar, GrammarError, Rule, has_epsilon_rules
 from .pda import Interned, Marker, Pda, Transition
-from .strategies import DottedRule
 
 FINAL = Marker("q_final")
 
@@ -125,21 +125,21 @@ class AuxSymbol(Interned):
 
 class Predictions(dict):
     """Goal -> the initial items of every rule reachable from it through left
-    corners, itself included: what closing adds for an item with that goal.
-    One per grammar, filled on first use, so a grammar pays only for the
-    goals its kernels name; a terminal predicts nothing."""
+    corners in `Grammar.predicted`, itself included: what closing adds for
+    an item with that goal.  One per automaton, filled on first use, so it
+    pays only for the goals its kernels name; a terminal predicts nothing."""
 
     def __init__(self, g: Grammar):
-        self.rules_for = g.rules_for
+        self.predicted = g.predicted
 
     def __missing__(self, goal: str) -> frozenset[DottedRule]:
-        rules_for, reach, seen = self.rules_for, [goal], {goal}
-        for nt in reach:  # grows while walked
-            for rule in rules_for(nt):
-                if rule.rhs and rule.rhs[0] not in seen:
-                    seen.add(rule.rhs[0])
-                    reach.append(rule.rhs[0])
-        self[goal] = frozenset(DottedRule(r, 0) for nt in reach for r in rules_for(nt))
+        predicted, reach, seen = self.predicted, [goal], {goal}
+        for nt in reach:  # grows while walked; None, an empty rule's goal, reaches nothing
+            for d in predicted.get(nt, ()):
+                if d.goal not in seen:
+                    seen.add(d.goal)
+                    reach.append(d.goal)
+        self[goal] = frozenset(d for nt in reach for d in predicted.get(nt, ()))
         return self[goal]
 
 
@@ -165,7 +165,7 @@ def build_lr_automaton(g: Grammar) -> LrAutomaton:
     symbols = dict.fromkeys(sym for rule in g.rules for sym in (rule.lhs, *rule.rhs))
     rank = {sym: i for i, sym in enumerate(symbols)}
     predicts = Predictions(g)
-    start = frozenset(DottedRule(r, 0) for r in g.start_rules())
+    start = frozenset(g.predicted[g.start])
     states = [LrState(0, closure(g, start, predicts))]
     by_kernel = {start: states[0]}
     goto_map: dict[tuple[LrState, str], LrState] = {}

@@ -1,39 +1,18 @@
 """Compile grammars into stack machines.
 
 Two classic strategies.  The goal-driven one keeps dotted rules on the stack
-and expands the topmost goal before reading; the data-driven one shifts
-phrase labels and replaces completed right-hand sides.  Both produce plain
+and expands the topmost goal before reading, pushing the rules the grammar
+predicts for it (`Grammar.predicted`); the data-driven one shifts phrase
+labels and replaces completed right-hand sides.  Both produce plain
 machines that the simulator and the table engine consume without knowing
-which strategy built them.
+which strategy built them.  Dotted rules are the grammar's own
+(`grammar.DottedRule`), shared with Earley and the shift-reduce compiler.
 """
 
 from __future__ import annotations
 
-from .grammar import Grammar, GrammarError, Rule, is_cnf
-from .pda import Interned, Marker, Pda, Transition
-
-
-class DottedRule(Interned):
-    """A rule with a progress marker: A -> alpha . beta, one per (rule,
-    dot).  `goal` is the symbol right of the dot, None when complete."""
-
-    __slots__ = ("rule", "dot", "goal", "is_complete", "_text", "_next")
-
-    @staticmethod
-    def _derive(rule: Rule, dot: int) -> tuple:
-        rhs = rule.rhs
-        text = " ".join([rule.lhs, "->", *rhs[:dot], ".", *rhs[dot:]])
-        return (rhs[dot] if dot < len(rhs) else None, dot == len(rhs), text, None)
-
-    def __str__(self) -> str:
-        return self._text
-
-    def advance(self) -> "DottedRule":
-        if self._next is None:
-            if self.is_complete:
-                raise ValueError(f"cannot advance past the end of {self}")
-            object.__setattr__(self, "_next", DottedRule(self.rule, self.dot + 1))
-        return self._next
+from .grammar import DottedRule, Grammar, GrammarError, is_cnf
+from .pda import Marker, Pda, Transition
 
 
 def dotted_rules(g: Grammar):
@@ -59,9 +38,9 @@ def compile_topdown(g: Grammar) -> Pda:
         if goal in g.terminals:
             reads.append(Transition((d,), (goal,), (d.advance(),)))
         elif goal is not None:
-            for sub in g.rules_for(goal):
-                pushes.append(Transition((d,), (), (d, DottedRule(sub, 0))))
-                done = DottedRule(sub, len(sub.rhs))
+            for sub in g.predicted[goal]:
+                pushes.append(Transition((d,), (), (d, sub)))
+                done = DottedRule(sub.rule, len(sub.rule.rhs))
                 pops.append(Transition((d, done), (), (d.advance(),)))
     # The simulator tries transitions in machine order: predictions first.
     transitions = pushes + reads + pops

@@ -139,13 +139,14 @@ def test_item_str(expr_grammar):
 
 
 def test_predicted_rules_built_once_per_grammar(expr_grammar):
-    # Grammar setup lists no prediction; the first parse lists those it
-    # makes and keeps them on the grammar for the next parse.
+    # Grammar setup lists no prediction; the first parse lists them on the
+    # grammar, and the next parse reads the same table.
     g = augment_start(expr_grammar)
-    assert g._predicted_rules is None
+    assert "predicted" not in vars(g)
     first = earley_parse(g, "a + a".split())
-    table = g._predicted_rules
-    assert dict(table) == {"E": tuple(DottedRule(r, 0) for r in g.rules_for("E"))}
+    table = g.predicted
+    assert vars(g)["predicted"] is table
+    assert table["E"] == tuple(DottedRule(r, 0) for r in g.rules_for("E"))
     again = earley_parse(g, "a * a".split())
-    assert g._predicted_rules is table
+    assert g.predicted is table
     assert earley_recognized(first) and earley_recognized(again)

@@ -34,6 +34,12 @@ def test_closure_pulls_in_predictions(sps_grammar):
     }
 
 
+def test_initial_state_closes_the_start_prediction(sps_grammar, expr_grammar):
+    for g in (sps_grammar, expr_grammar):
+        start = frozenset(g.predicted[g.start])
+        assert build_lr_automaton(g).states[0].items == closure(g, start)
+
+
 def test_automaton_structure(sps_grammar):
     auto = build_lr_automaton(sps_grammar)
     items = [

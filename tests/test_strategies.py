@@ -2,6 +2,7 @@ from typing import NamedTuple
 
 import pytest
 
+from tabparse import grammar
 from tabparse.grammar import GrammarError, Rule, augment_start, parse_grammar
 from tabparse.pda import Marker, pda_size, simulate
 from tabparse.strategies import (
@@ -53,6 +54,21 @@ def test_dotted_rule_text_matches_named_tuple(expr_grammar, cnf_grammar, sps_gra
             assert repr(d) == repr(old).replace("_NamedTupleDottedRule", "DottedRule")
 
 
+def test_dotted_rule_is_the_grammars_and_knows_its_successor():
+    # One class for the compilers, Earley and LR.  Each instance holds its
+    # successor from the start, and a rule far longer than the interpreter's
+    # recursion limit makes its chain without nesting constructions.
+    assert DottedRule is grammar.DottedRule
+    r = Rule("S", ("a",) * 1500)
+    middle, first = DottedRule(r, 750), DottedRule(r, 0)
+    d, seen = first, [first]
+    while not d.is_complete:
+        d = d.advance()
+        seen.append(d)
+    assert seen == [DottedRule(r, dot) for dot in range(1501)] and seen[750] is middle
+    assert d._next is None
+
+
 def test_dotted_rules_count(expr_grammar):
     # one position per dot, so sum of |rhs| + 1
     assert len(list(dotted_rules(expr_grammar))) == 12
@@ -73,6 +89,14 @@ def test_topdown_machine_shape(expr_grammar):
     assert len(pops) == 15
     assert len(reads) == 3
     assert all(len(t.read) == 1 for t in reads)
+
+
+def test_topdown_pushes_what_the_grammar_predicts(expr_grammar):
+    g = expr_grammar
+    p = compile_topdown(g)
+    for d in dotted_rules(g):
+        pushed = tuple(t.push[-1] for t in p.transitions if t.pop == (d,) and not t.read)
+        assert pushed == (g.predicted[d.goal] if d.goal in g.nonterminals else ())
 
 
 @pytest.mark.parametrize(
