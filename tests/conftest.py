@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from tabparse.grammar import Rule, parse_grammar
 from tabparse.pda import Pda, Transition
+
+# `pytest --hypothesis-profile=thorough` runs every property on ten times
+# the default number of examples, with no time limit on any one of them.
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 BRANCHING_TRANSITIONS = (
     Transition(("q0",), ("a",), ("q0", "q1")),

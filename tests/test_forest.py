@@ -255,7 +255,7 @@ def test_count_reads_the_reduced_walk():
         None,
     )
     assert count_trees(f) == count_trees(reduce_forest(f)) == TreeCount(1, False)
-    assert [r for t in _choose_trees(f, 3) for r in t] == [(0, ("a",), _RULE, ())]
+    assert [r for t in _choose_trees(f, 3) for r in t] == [(0, (), ("a",), _RULE)]
 
 
 def _within_seconds(seconds, call):
@@ -420,17 +420,23 @@ class _CountingJustifications(dict):
 )
 def test_reduce_makes_only_rules_it_keeps(algorithm, made, total):
     # Under right recursion most items are partial lists the whole input
-    # never uses; reduction turns only the justifications of the heads the
-    # start node reaches into forest steps.
+    # never uses; reduction reads only the justifications of the heads the
+    # start node reaches, and keeps those very lists as their entries.
     c = _chart(algorithm, parse_grammar("L -> a L\nL -> a"), ("a",) * 50)
-    rules_of = build_forest_items(c)._chart[1]
-    eager = {ForestRule._make(step[:3]) for h in c.justifications for step in rules_of(h)}
+    steps = reduce_forest(build_forest_items(c))._graph[3]
+    eager = {
+        ForestRule(head, body, rule)
+        for h, justs in c.justifications.items()
+        for head, _, body, rule in steps(h, justs)
+    }
     # Builders read a head's justifications through `get`, once per call.
     c.justifications = counted = _CountingJustifications(c.justifications)
     full = build_forest_items(c)
     reduced = reduce_forest(full)
     assert counted.read == made
     assert made == sum(len(c.justifications[h]) for h in reduced._graph[1])
+    by_head = reduced._graph[0]
+    assert all(by_head[h] is c.justifications[h] for h in reduced._graph[1])
     assert sum(map(len, c.justifications.values())) == total > 5 * made
     assert len(reduced.rules) == made  # one rule per justification here
     # Reading the full rules makes every rule, as an eager build did.
@@ -478,14 +484,19 @@ _REPEAT_MACHINES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_REPEAT_MACHINES))
-def test_repeated_steps_are_dropped(name):
+def _repeat_chart(name):
+    """The chart of one of `_REPEAT_MACHINES`, given a final pop, on its text."""
     text, transitions, top = _REPEAT_MACHINES[name]
     transitions = (*transitions, T(("s", top), (), ("f",)))
     symbols = {sym for t in transitions for sym in t.pop + t.push}
     p = Pda(frozenset(text), frozenset(symbols), "s", "f", transitions)
-    c = run_tabular(p, list(text))
-    assert _trigger_tables(p)[3]
+    return run_tabular(p, list(text))
+
+
+@pytest.mark.parametrize("name", sorted(_REPEAT_MACHINES))
+def test_repeated_steps_are_dropped(name):
+    c = _repeat_chart(name)
+    assert _trigger_tables(c.pda)[3]
     full = build_forest_items(c)
     # Exactly one pair of justifications collides, and its step is kept once.
     assert len(full.rules) == sum(map(len, c.justifications.values())) - 1
@@ -524,6 +535,91 @@ def test_one_step_per_justification_on_demo_grammars():
     assert [r for r in full.rules if r.head == initial] == [(initial, (), None)]
     assert len(full.rules) == sum(map(len, c.justifications.values())) - 1
     assert count_trees(reduce_forest(full)) == TreeCount(1, False)
+
+
+def _snapshot(c):
+    """A copy of a chart's justification lists; their tuples are immutable."""
+    return {head: list(justs) for head, justs in c.justifications.items()}
+
+
+@pytest.mark.parametrize(
+    "name,text,count", [("expr", "a + a * a", 2), ("sps", "a + a + a", 2), ("cnf", "a a b b", 5)]
+)
+def test_reduce_and_count_copy_nothing(name, text, count):
+    # The walk keeps each reached item's own justification list as its
+    # entries, and counting and extraction read them as they are: the
+    # forest aliases the chart's lists and never changes them.
+    here = Path(__file__).resolve().parents[1] / "demos/grammars"
+    g = parse_grammar((here / f"{name}.cfg").read_text())
+    aug, tokens = augment_start(g), text.split()
+    lazy = compile_lr(aug)
+    machines = [compile_topdown(aug), lazy, binarize_reductions(lazy)]
+    if is_cnf(g):
+        machines.append(compile_bottomup(g))
+    for c in [earley_parse(aug, tokens), *(run_tabular(p, tokens) for p in machines)]:
+        before = _snapshot(c)
+        reduced = reduce_forest(build_forest_items(c))
+        by_head, order, _, _ = reduced._graph
+        assert order and all(by_head[h] is c.justifications[h] for h in order)
+        assert count_trees(reduced) == TreeCount(count, False)
+        assert len(extract_trees(reduced, 3)) == min(count, 3)
+        assert c.justifications == before
+
+
+@pytest.mark.parametrize("name", sorted(_REPEAT_MACHINES))
+def test_repeat_chart_walks_its_steps_once(name):
+    # Where two justifications can make one step, an item's entries are its
+    # steps, each once: a new list, one shorter on the item whose pair
+    # collides, and the chart's own lists stay as they were.
+    c = _repeat_chart(name)
+    before = _snapshot(c)
+    reduced = reduce_forest(build_forest_items(c))
+    by_head = reduced._graph[0]
+    assert all(by_head[h] is not c.justifications[h] for h in by_head)
+    dropped = [len(c.justifications[h]) - len(by_head[h]) for h in by_head]
+    assert dropped.count(1) == 1 and set(dropped) == {0, 1}
+    assert count_trees(reduced) == TreeCount(1, False)
+    assert c.justifications == before
+
+
+def _cnf_inside(g, tokens):
+    """The number of trees of a CNF grammar over tokens, by the inside
+    recursion over spans."""
+    n = len(tokens)
+    inside: dict = {}
+    for i, t in enumerate(tokens):
+        for r in g.rules:
+            if r.rhs == (t,):
+                inside[i, r.lhs, i + 1] = inside.get((i, r.lhs, i + 1), 0) + 1
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            k = i + width
+            for j in range(i + 1, k):
+                for r in g.rules:
+                    if len(r.rhs) == 2:
+                        ways = inside.get((i, r.rhs[0], j), 0) * inside.get((j, r.rhs[1], k), 0)
+                        inside[i, r.lhs, k] = inside.get((i, r.lhs, k), 0) + ways
+    return inside.get((0, g.start, n), 0)
+
+
+def test_benchmark_ladders_count_big_integers(expr_grammar, cnf_grammar):
+    # The ambiguous benchmark's shapes, counted over the charts' own lists:
+    # a 17-operand expression has Catalan(16) trees, whichever operators
+    # join the operands, and one 16-token CNF string counts alike under
+    # every algorithm that takes it.
+    tokens = " + ".join(" * ".join("a" * 2) for _ in range(8)).split() + ["*", "a"]
+    assert tokens.count("a") == 17
+    catalan = math.comb(32, 16) // 17
+    assert catalan == 35_357_670
+    for algorithm in ("earley", "topdown", "glr", "glr-binarized"):
+        counted = count_trees(_item_forest(algorithm, expr_grammar, tokens))
+        assert counted == TreeCount(catalan, False), algorithm
+    tokens = "a b b a a b b a a b a b b a a b".split()
+    assert _cnf_inside(cnf_grammar, tokens) == 1_242_319
+    for algorithm in ("cky", "bottomup", "earley", "topdown"):
+        a = ALGORITHMS[algorithm]
+        f = a.build_forest(_chart(algorithm, cnf_grammar, tokens))
+        assert count_trees(reduce_forest(f)) == TreeCount(1_242_319, False), algorithm
 
 
 def _reference_reduce(f):
@@ -628,8 +724,11 @@ def _chart_forests(rules, tokens):
 
 
 def _walk_of(reduced):
-    by_head, order, cyclic = reduced._graph
-    return list(by_head.items()), order, cyclic
+    """The walk of a reduced forest: the steps made from each reached head's
+    entries, in the order the walk closed the heads, the nodes reached
+    children first, and the cycle flag."""
+    by_head, order, cyclic, steps = reduced._graph
+    return [(h, steps(h, entries)) for h, entries in by_head.items()], order, cyclic
 
 
 @given(RANDOM_GRAMMARS, st.lists(st.sampled_from("ab"), max_size=4))
@@ -888,12 +987,10 @@ def test_count_and_choice_match_references(f):
     # a forest built by hand is walked on demand, with the same result
     rebuilt = ParseForest(reduced.rules, f.start, f.origin, f.grammar)
     assert count_trees(rebuilt) == counted
-    # Steps carry their kids after the rule's three fields.
-    rules_only = lambda trees: [[step[:3] for step in t] for t in trees]
     for k in range(1, 6):
         expected = _reference_choose_by_rule(reduced, k)
-        assert rules_only(_choose_trees(reduced, k)) == expected
-        assert rules_only(_choose_trees(rebuilt, k)) == expected
+        assert _rules_only(_choose_trees(reduced, k)) == expected
+        assert _rules_only(_choose_trees(rebuilt, k)) == expected
 
 
 def _is_comb(t, n, left):
@@ -946,6 +1043,11 @@ def _reference_lowest(f):
                 if d < low.get(r.head, math.inf):
                     low[r.head], changed = d, True
     return low
+
+
+def _rules_only(trees):
+    """Trees of steps (head, kids, body, rule) as lists of their rules."""
+    return [[ForestRule(head, body, rule) for head, _, body, rule in t] for t in trees]
 
 
 def _reference_choose_by_rule(f, k):
@@ -1013,11 +1115,10 @@ def test_choice_adds_depth_only_for_rule_naming_steps(f):
     # they add no node to the edited tree.
     assert forest._lowest(forest._lookup(f.rules)) == _reference_lowest(f)
     reduced = reduce_forest(f)
-    rules_only = lambda trees: [[step[:3] for step in t] for t in trees]
     for k in range(1, 6):
         expected = _reference_choose_by_rule(reduced, k)
         if expected is ForestError:
             with pytest.raises(ForestError, match="editor"):
                 _choose_trees(reduced, k)
         else:
-            assert rules_only(_choose_trees(reduced, k)) == expected
+            assert _rules_only(_choose_trees(reduced, k)) == expected
