@@ -9,10 +9,12 @@ and the loop owns its agenda.  A completion fires when the second of its
 two partners is popped, whichever it is.  Prediction is positional: the
 rules predicted for B at i depend only on (B, i), so they fire once, when
 the first item waiting for B at i is popped, with the justification
-("predict", (), None).  `fired`, read off the chart, counts the recorded
-justifications, one per inference.  The rules predicted for a
-nonterminal are the grammar's (`Grammar.predicted`), listed once per
-grammar on the first parse, and dotted rules are `grammar.DottedRule`.
+("predict", (), None).  The axiom is the start symbol's prediction at 0,
+so where the start symbol occurs in a rule body it is not predicted there
+again.  `fired`, read off the chart, counts the recorded justifications,
+one per inference.  The rules predicted for a nonterminal are the
+grammar's (`Grammar.predicted`), listed once per grammar on the first
+parse, and dotted rules are `grammar.DottedRule`.
 
 The loop files a popped item only where a completion looks it up: a
 completed item by (its left-hand side, its origin), an item waiting for a
@@ -83,7 +85,7 @@ def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
     # popped completed items by (their left-hand side, their origin).
     active_at, completed_at = defaultdict(list), defaultdict(list)
 
-    nonterminals, predicted = g.nonterminals, g.predicted
+    nonterminals, predicted, start = g.nonterminals, g.predicted, g.start
     while agenda:
         item = pop()
         origin, dotted, end = item
@@ -103,8 +105,9 @@ def earley_parse(g: Grammar, tokens, agenda_order: str = "lifo") -> EarleyChart:
             waiting = active_at[(goal, end)]
             waiting.append(item)
             # Positional: the prediction depends only on (goal, end), so the
-            # first item waiting there fires it, once per vertex.
-            if len(waiting) == 1:
+            # first item waiting there fires it, once per vertex.  The axiom
+            # already is the start symbol's prediction at 0.
+            if len(waiting) == 1 and (end or goal != start):
                 just = ("predict", (), None)  # a constant: folded, not built
                 for d in predicted[goal]:
                     new = (end, d, end)

@@ -251,8 +251,8 @@ def _chains(item: tuple, uppers, lowers, by_lower_at, by_upper_at) -> list[tuple
 
 def _trigger_tables(p: Pda) -> tuple:
     """The engine's indexes, built from the machine alone, once per machine
-    and kept on it: one trigger record per upper symbol, the default record,
-    the multi-pop table and the repeat flag.
+    and kept on it: one trigger record per upper symbol, the default record
+    and the multi-pop table.
 
     A record holds, for the symbol on top of a popped arc, everything that
     fires on it: (pushes, swaps, f3, f3_first).  `pushes` are the F1, F6
@@ -280,15 +280,7 @@ def _trigger_tables(p: Pda) -> tuple:
     pushes what `tops` maps that lower symbol to.  The first cell of a
     single-push F7 path may have any lower symbol, so its entry is keyed
     under, and maps, every one.  Reductions, in machine order, add their
-    own entries (`lr.Reduction.pop_entries`).
-
-    `repeats` says whether two justifications of one item can make the same
-    forest step: the same antecedents and tokens, by two transitions that
-    are equal once a kept lower symbol is stripped, one keeping it and the
-    other not (F1 beside F6, the full beside the bare form of F2 or F5, a
-    two-push F7 beside an F3 or a one-push F7), or by lazy reductions beside
-    F3, F5 or F7 transitions.  A transition keeps its lower symbol when it
-    pushes two symbols, the first being the one it pops first."""
+    own entries (`lr.Reduction.pop_entries`)."""
     if p._triggers is not None:
         return p._triggers
     for sym in (None, BOTTOM):
@@ -301,13 +293,8 @@ def _trigger_tables(p: Pda) -> tuple:
     f6 = []
     f3 = defaultdict(lambda: defaultdict(list))  # upper -> lower -> (pushed, t)
     pops = defaultdict(list)  # popped arc -> multi-pop entries
-    transitions = dict.fromkeys(p.transitions)
-    shapes, stripped = set(), set()  # transitions less their kept lower symbol
-    for t in transitions:
+    for t in dict.fromkeys(p.transitions):
         shape = classify_transition(t)
-        shapes.add(shape)
-        if len(t.push) == 2 and t.push[0] == t.pop[0]:
-            stripped.add(Transition(t.pop[1:], t.read, t.push[1:]))
         a, step = (t.read[0], 1) if t.read else (None, 0)
         if shape in ("F1", "F4"):
             family[shape][t.pop[0]].append((a, t.push[1], step, (shape, (), t)))
@@ -335,10 +322,7 @@ def _trigger_tables(p: Pda) -> tuple:
         up: (f1[up] + f6 + f4[up], f2[up] + f5[up], dict(f3[up]), f3_first[up])
         for up in {**f1, **f2, **f4, **f5, **f3, **f3_first}
     }
-    repeats = not stripped.isdisjoint(transitions) or bool(
-        p.reductions and shapes & {"F3", "F5", "F7"}
-    )
-    tables = (records, (f6, (), {}, ()), dict(pops), repeats)
+    tables = (records, (f6, (), {}, ()), dict(pops))
     object.__setattr__(p, "_triggers", tables)
     return tables
 
@@ -351,7 +335,7 @@ def run_tabular(p: Pda, tokens, agenda_order: str = "lifo") -> Chart:
     push = agenda.append
     justifications, tokens = c.justifications, c.tokens
     n = len(tokens)
-    records, default, pops, _ = _trigger_tables(p)
+    records, default, pops = _trigger_tables(p)
 
     # Popped arcs by upper vertex (only those whose top symbol has pushes),
     # by lower vertex (for multi-pop paths only), and those some F3

@@ -17,14 +17,13 @@ justification lists, engine (tag, ante, via) and Earley (tag, ante,
 token) alike.  A step, the plain tuple (head, kids, body, rule), is made
 of an entry only where it is read: by extraction, for the heads its
 search visits, and by `rules`, their `ForestRule` views in chart order.
-CKY spans, whose justifications (rule, split) hold no nodes, forests
-built by hand and charts where two justifications can make one step
-(Earley's where the start symbol occurs in a rule body, machines whose
-`engine._trigger_tables` flag repeats) have steps as entries, each once.
-Counting and extraction never enumerate shared substructure twice, so
-they stay cheap even when the number of trees is astronomical or
-infinite.  Both read the walk's graph, reducing a forest first when it
-is not, and run on explicit stacks, so trees may be of any depth.
+CKY spans, whose justifications (rule, split) hold no nodes, and forests
+built by hand have steps as entries.  An item chart has one step per
+justification, so a machine's forest counts its runs as `pda.simulate`
+does.  Counting and extraction never enumerate shared substructure
+twice, so they stay cheap even when the number of trees is astronomical
+or infinite.  Both read the walk's graph, reducing a forest first when
+it is not, and run on explicit stacks, so trees may be of any depth.
 Extraction measures depth as the fold builds the tree: a step adds a
 level when it names a grammar rule and none when it does not, so cyclic
 forests give their trees shallowest first whatever their origin.  Item
@@ -40,7 +39,7 @@ from typing import Any, NamedTuple, Optional
 
 from .cky import CkyChart
 from .earley import EarleyChart, EarleyItem
-from .engine import Chart, Item, _trigger_tables
+from .engine import Chart, Item
 from .grammar import Grammar, Rule
 from .trees import ParseTree, leaf, node
 
@@ -131,18 +130,16 @@ def build_forest_cky(c: CkyChart) -> ParseForest:
 
 def build_forest_items(c) -> ParseForest:
     """Forest over the chart's own items, whose entries are their
-    justification lists, or their steps, each once, where two can make one
-    (see the module docstring).  A justification's step has the
-    antecedents as kids, the antecedents and token read as body, and the
-    rule of a complete Earley item or the one the machine's `completes`
-    gives.  The full rules come in the order items were first derived."""
+    justification lists: one step per justification.  A justification's
+    step has the antecedents as kids, the antecedents and token read as
+    body, and the rule of a complete Earley item or the one the machine's
+    `completes` gives.  The full rules come in the order items were first
+    derived."""
     if not isinstance(c, (EarleyChart, Chart)):
         raise ForestError(f"cannot build a forest from {type(c).__name__}")
     justs = c.justifications
     if isinstance(c, EarleyChart):
         origin, grammar = "earley", c.grammar
-        # Only the axiom repeats, and only when its start symbol is predicted.
-        repeats = any(grammar.start in r.rhs for r in grammar.rules)
 
         def steps(item, js) -> list:
             rule = item[1].rule if item[1].is_complete else None
@@ -153,7 +150,7 @@ def build_forest_items(c) -> ParseForest:
 
     else:
         origin, grammar = c.pda.kind, c.pda.grammar
-        completes, repeats = c.pda.completes, _trigger_tables(c.pda)[3]
+        completes = c.pda.completes
 
         def steps(item, js) -> list:
             made = []
@@ -162,9 +159,6 @@ def build_forest_items(c) -> ParseForest:
                 made.append((item, ante, body, completes.get(via)))
             return made
 
-    if repeats:
-        distinct = lambda item: list(dict.fromkeys(steps(item, justs.get(item, ()))))
-        return _chart_forest(justs.keys, distinct, _given, c.goal, origin, grammar)
     return _chart_forest(justs.keys, justs.get, steps, c.goal, origin, grammar)
 
 
@@ -417,10 +411,12 @@ def _edit(f: ParseForest, trail: list[tuple]) -> ParseTree:
 
 
 def dump_forest(f: ParseForest, eliminated=frozenset()) -> str:
-    """The rules, sorted by text; plain-tuple nodes print through the item
-    view of the forest's origin."""
-    view = EarleyItem._make if f.origin == "earley" else Item._make
-    show = lambda x: str(view(x) if type(x) is tuple else x)
+    """The rules, sorted by text; plain-tuple nodes of the arity of the
+    forest's origin view (`EarleyItem`, `SpanNode` for cky, `Item`
+    otherwise) print through it, other nodes as they are."""
+    view = {"earley": EarleyItem, "cky": SpanNode}.get(f.origin, Item)
+    arity = len(view._fields)
+    show = lambda x: str(view._make(x) if type(x) is tuple and len(x) == arity else x)
     entries = []
     for r in f.rules:
         body = " ".join(map(show, r.body)) if r.body else "eps"

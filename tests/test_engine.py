@@ -16,7 +16,6 @@ from tabparse.engine import (
     Deduction,
     Item,
     UnsupportedTransition,
-    _trigger_tables,
     chart_to_dot,
     classify_transition,
     dump_chart,
@@ -777,16 +776,17 @@ def assert_agrees_with_simulation(p: Pda) -> set:
             if recognized(c):
                 accepted.add(tokens)
             # Runs never repeat a configuration, so cyclic forests compare
-            # verdicts only, and so do machines `repeats` flags: two of
-            # their inferences can make one forest step.
-            if recognized(c) and not result.truncated and not _trigger_tables(p)[3]:
+            # verdicts only.
+            if recognized(c) and not result.truncated:
                 counted = count_trees(build_forest_items(c))
                 if not counted.infinite:
                     assert counted.value == len(result.runs)
     return accepted
 
 
-@settings(max_examples=300, deadline=None)
+# The larger of this count and the loaded profile's, so that a profile
+# with more examples (conftest's "thorough") raises it.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(st.lists(_transitions(), min_size=2, max_size=9, unique=True))
 def test_any_machine_agrees_with_simulation(transitions):
     # Random machines of every shape the engine runs, over stack symbols
@@ -844,7 +844,7 @@ def _accepting_machine(draw):
     return Pda(frozenset("ab"), frozenset(RUN_SYMBOLS), "s", "f", tuple(transitions)), tokens
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(_accepting_machine())
 def test_machines_drawn_to_accept_count_their_runs(drawn):
     # Counts on machines no compiler makes: each machine accepts its input

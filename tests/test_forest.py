@@ -18,7 +18,7 @@ from tabparse import forest
 from tabparse.algorithms import ALGORITHMS
 from tabparse.cky import cky_parse
 from tabparse.earley import EarleyItem, earley_parse
-from tabparse.engine import _trigger_tables, run_tabular
+from tabparse.engine import run_tabular
 from tabparse.forest import (
     ForestError,
     ForestRule,
@@ -104,6 +104,15 @@ def test_span_forest_frozen(cnf_forest):
     assert set(dump_forest(cnf_forest).splitlines()) == set(CNF_FOREST.splitlines())
     assert dump_forest(cnf_forest) == CNF_FOREST
     assert cnf_forest.start == SpanNode(0, "S", 4)
+
+
+def test_dump_prints_hand_built_tuples_by_arity():
+    # A plain tuple prints through the origin's view only with its arity.
+    span = ParseForest((ForestRule((0, "S", 1), ("a",)),), (0, "S", 1), "cky", None)
+    assert dump_forest(span) == "( 0 , S , 1 ) -> a"
+    rules = (ForestRule((0, 1), ((1, 2), "a")), ForestRule((1, 2), ()))
+    pairs = ParseForest(rules, (0, 1), "pda", None)
+    assert dump_forest(pairs) == "(0, 1) -> (1, 2) a\n(1, 2) -> eps"
 
 
 def test_reduce_drops_unreachable_heads(cnf_forest):
@@ -457,9 +466,10 @@ def test_forest_rule_dedup():
 
 
 T = Transition
-# Hand machines with two transitions that make one forest step on one item:
-# the second is the first less its kept lower symbol.  Each makes that step
-# twice, once by each transition, and accepts its input in one way.
+# Hand machines with two transitions that make equal forest steps on one
+# item: the second is the first less its kept lower symbol.  Each makes that
+# step twice, once by each transition, so it accepts its input along two
+# runs that pass the same configurations.
 _REPEAT_MACHINES = {
     "F1-beside-F6": ("a", [T(("s",), ("a",), ("s", "x")), T((), ("a",), ("x",))], "x"),
     "F2-full-beside-bare": (
@@ -495,22 +505,23 @@ def _repeat_chart(name):
 
 @pytest.mark.parametrize("name", sorted(_REPEAT_MACHINES))
 def test_repeated_steps_are_dropped(name):
+    # None is: each justification is a step, and its `rules` view one rule,
+    # so the two equal steps count two trees, one per run of the simulator.
     c = _repeat_chart(name)
-    assert _trigger_tables(c.pda)[3]
     full = build_forest_items(c)
-    # Exactly one pair of justifications collides, and its step is kept once.
-    assert len(full.rules) == sum(map(len, c.justifications.values())) - 1
-    assert len(set(full.rules)) == len(full.rules)
+    assert len(full.rules) == sum(map(len, c.justifications.values()))
+    assert len(set(full.rules)) == len(full.rules) - 1
     reduced = reduce_forest(full)
-    assert len(set(reduced.rules)) == len(reduced.rules)
     rebuilt = ParseForest(reduced.rules, full.start, full.origin, full.grammar)
-    assert count_trees(reduced) == count_trees(rebuilt) == TreeCount(1, False)
+    runs = len(simulate(c.pda, c.tokens).runs)
+    assert count_trees(reduced) == count_trees(rebuilt) == TreeCount(runs, False)
+    assert runs == 2
 
 
 def test_one_step_per_justification_on_demo_grammars():
-    # No compiled machine flags repeats, and only Earley's initial item,
-    # predicted again where the start symbol occurs in a rule body, can have
-    # two justifications that make one step.
+    # Every chart forest has one rule per justification, and Earley's
+    # initial item, the start symbol's prediction at 0, is not predicted
+    # again where the start symbol occurs in a rule body.
     here = Path(__file__).resolve().parents[1] / "demos/grammars"
     for name, text in [("expr", "a + a * a"), ("sps", "a + a + a"), ("cnf", "a a b b")]:
         g = parse_grammar((here / f"{name}.cfg").read_text())
@@ -522,19 +533,23 @@ def test_one_step_per_justification_on_demo_grammars():
             machines.append(compile_bottomup(g))
             span = cky_parse(g, tokens)
             assert len(build_forest_cky(span).rules) == span.fired + len(tokens)
-        for p in machines:
-            assert not _trigger_tables(p)[3]
-            charts.append(run_tabular(p, tokens))
+        charts += [run_tabular(p, tokens) for p in machines]
         for c in charts:
             assert len(build_forest_items(c).rules) == sum(map(len, c.justifications.values()))
-    g = parse_grammar("S -> A\nA -> S b\nA -> a")
-    c = earley_parse(g, list("ab"))
-    initial = (0, DottedRule(g.rules[0], 0), 0)
-    assert [tag for tag, _, _ in c.justifications[initial]] == ["init", "predict"]
-    full = build_forest_items(c)
-    assert [r for r in full.rules if r.head == initial] == [(initial, (), None)]
-    assert len(full.rules) == sum(map(len, c.justifications.values())) - 1
-    assert count_trees(reduce_forest(full)) == TreeCount(1, False)
+    # Unaugmented grammars whose start symbol occurs in a rule body.
+    # Predicting it again at 0 would give the axiom a second justification,
+    # one more fired, and every tree a second copy;
+    # `test_chart_forests_hold_the_oracle_trees` checks their trees.
+    unaugmented = [("S -> A\nA -> S b\nA -> a", "abb", 12), ("S -> A\nA -> S\nA -> a", "a", 7)]
+    for text, tokens, fired in unaugmented:
+        g = parse_grammar(text)
+        c = earley_parse(g, list(tokens))
+        initial = (0, DottedRule(g.rules[0], 0), 0)
+        assert [tag for tag, _, _ in c.justifications[initial]] == ["init"]
+        assert c.fired == fired
+        full = build_forest_items(c)
+        assert [r for r in full.rules if r.head == initial] == [(initial, (), None)]
+        assert len(full.rules) == sum(map(len, c.justifications.values()))
 
 
 def _snapshot(c):
@@ -543,43 +558,36 @@ def _snapshot(c):
 
 
 @pytest.mark.parametrize(
-    "name,text,count", [("expr", "a + a * a", 2), ("sps", "a + a + a", 2), ("cnf", "a a b b", 5)]
+    "name,text,count",
+    [("expr", "a + a * a", 2), ("sps", "a + a + a", 2), ("cnf", "a a b b", 5)]
+    + [pytest.param(name, None, 2, id=name) for name in sorted(_REPEAT_MACHINES)],
 )
 def test_reduce_and_count_copy_nothing(name, text, count):
     # The walk keeps each reached item's own justification list as its
     # entries, and counting and extraction read them as they are: the
-    # forest aliases the chart's lists and never changes them.
-    here = Path(__file__).resolve().parents[1] / "demos/grammars"
-    g = parse_grammar((here / f"{name}.cfg").read_text())
-    aug, tokens = augment_start(g), text.split()
-    lazy = compile_lr(aug)
-    machines = [compile_topdown(aug), lazy, binarize_reductions(lazy)]
-    if is_cnf(g):
-        machines.append(compile_bottomup(g))
-    for c in [earley_parse(aug, tokens), *(run_tabular(p, tokens) for p in machines)]:
+    # forest aliases the chart's lists and never changes them.  So does
+    # every item chart, the hand machines' whose steps repeat included;
+    # their steps name no grammar rule, so their trees are not edited.
+    if text is None:
+        charts = [_repeat_chart(name)]
+    else:
+        here = Path(__file__).resolve().parents[1] / "demos/grammars"
+        g = parse_grammar((here / f"{name}.cfg").read_text())
+        aug, tokens = augment_start(g), text.split()
+        lazy = compile_lr(aug)
+        machines = [compile_topdown(aug), lazy, binarize_reductions(lazy)]
+        if is_cnf(g):
+            machines.append(compile_bottomup(g))
+        charts = [earley_parse(aug, tokens), *(run_tabular(p, tokens) for p in machines)]
+    for c in charts:
         before = _snapshot(c)
         reduced = reduce_forest(build_forest_items(c))
         by_head, order, _, _ = reduced._graph
         assert order and all(by_head[h] is c.justifications[h] for h in order)
         assert count_trees(reduced) == TreeCount(count, False)
-        assert len(extract_trees(reduced, 3)) == min(count, 3)
+        extract = _choose_trees if text is None else extract_trees
+        assert len(extract(reduced, 3)) == min(count, 3)
         assert c.justifications == before
-
-
-@pytest.mark.parametrize("name", sorted(_REPEAT_MACHINES))
-def test_repeat_chart_walks_its_steps_once(name):
-    # Where two justifications can make one step, an item's entries are its
-    # steps, each once: a new list, one shorter on the item whose pair
-    # collides, and the chart's own lists stay as they were.
-    c = _repeat_chart(name)
-    before = _snapshot(c)
-    reduced = reduce_forest(build_forest_items(c))
-    by_head = reduced._graph[0]
-    assert all(by_head[h] is not c.justifications[h] for h in by_head)
-    dropped = [len(c.justifications[h]) - len(by_head[h]) for h in by_head]
-    assert dropped.count(1) == 1 and set(dropped) == {0, 1}
-    assert count_trees(reduced) == TreeCount(1, False)
-    assert c.justifications == before
 
 
 def _cnf_inside(g, tokens):
@@ -710,7 +718,8 @@ def test_reduce_linear_on_chain():
 
 
 def _chart_forests(rules, tokens):
-    """The forest of each algorithm that takes the grammar, on tokens."""
+    """The forest of each algorithm that takes the grammar, on tokens, and
+    of Earley on the grammar itself when it has one start rule."""
     g = Grammar(tuple(rules), rules[0].lhs)
     for name, a in ALGORITHMS.items():
         # CKY and the bottom-up machine need CNF, shift-reduce machines no
@@ -721,6 +730,8 @@ def _chart_forests(rules, tokens):
             continue
         if a.build_forest is not None:
             yield a.build_forest(_chart(name, g, tokens))
+    if len(g.start_rules()) == 1:  # Earley on the grammar as it is, unaugmented
+        yield build_forest_items(earley_parse(g, tokens))
 
 
 def _walk_of(reduced):
@@ -797,6 +808,10 @@ _GRAMMAR_INPUTS = RANDOM_GRAMMARS.flatmap(
 @example(([Rule("S", ("S",)), Rule("S", ("a",))], ["a"]))  # infinitely many
 @example(([Rule("S", ())], []))  # the axiom completes the start rule
 @example(([Rule("S", ("a",))], ["S"]))  # a token spelled like the start symbol
+@example(  # the start symbol in a rule body, predicted at 0 by unaugmented Earley
+    ([Rule("S", ("A",)), Rule("A", ("S", "b")), Rule("A", ("a",))], list("abb"))
+)
+@example(([Rule("S", ("A",)), Rule("A", ("S",)), Rule("A", ("a",))], ["a"]))  # and cyclic
 @example(  # cyclic; dotted items and pushes must add no depth
     (
         [Rule("S", rhs) for rhs in [("B",), ("B", "B", "B"), ("B", "a"), ()]]
